@@ -15,8 +15,8 @@ from . import __version__
 from .grouplat import GroupInfinite, group_closure, integerize
 from .imagegraph import build_image_graph, to_dot
 from .linalg import inverse
-from .semigroup import (closure, decide_finiteness, default_cap, length_bound,
-                        size_bound)
+from .semigroup import (CapExceeded, closure, decide_finiteness, default_cap,
+                        length_bound, size_bound)
 from .serialize import (ParseError, automaton_from_json, frac_to_str,
                         generators_from_json, matrix_to_json, parse_word,
                         vass_from_json, word_to_str)
@@ -41,6 +41,13 @@ def _load_json(path: str):
         raise CliError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
 
+def _at_least(value, flag: str, minimum: int):
+    """An optional integer option, refused below `minimum`."""
+    if value is not None and value < minimum:
+        raise CliError(f"{flag} must be at least {minimum}, got {value}")
+    return value
+
+
 def _witness_listing(result) -> list:
     return [{"word": word_to_str(result.witness[k]),
              "matrix": matrix_to_json(result.elements[k])}
@@ -48,10 +55,11 @@ def _witness_listing(result) -> list:
 
 
 def cmd_finiteness(args) -> tuple[int, dict]:
+    cap = _at_least(args.cap, "--cap", 1)
     table = generators_from_json(_load_json(args.input))
-    verdict = decide_finiteness(table, args.cap)
+    verdict = decide_finiteness(table, cap)
     if verdict.status == "exceeded_cap":
-        return 2, {"status": "exceeded_cap", "cap": args.cap or default_cap()}
+        return 2, {"status": "exceeded_cap", "cap": cap or default_cap()}
     if verdict.status == "infinite":
         return 0, {"status": "infinite", "witness": word_to_str(verdict.witness)}
     out = {"status": "finite", "count": len(verdict.closure)}
@@ -61,8 +69,9 @@ def cmd_finiteness(args) -> tuple[int, dict]:
 
 
 def cmd_closure(args) -> tuple[int, dict]:
+    cap = _at_least(args.cap, "--cap", 1)
     table = generators_from_json(_load_json(args.input))
-    result = closure(table, args.cap)
+    result = closure(table, cap)
     if result.status == "exceeded_cap":
         return 2, {"status": "exceeded_cap", "cap": result.cap}
     return 0, {"status": "finite", "count": len(result),
@@ -74,13 +83,16 @@ def cmd_shorten(args) -> tuple[int, dict]:
     path = args.input or args.generators
     if path is None or (args.input and args.generators):
         raise CliError("give the generators file once (positionally or via --generators)")
+    cap = _at_least(args.cap, "--cap", 1)
     table = generators_from_json(_load_json(path))
     word = parse_word(args.word, table.alphabet)
     try:
-        u = shorten(table, word, assume_finite=args.assume_finite, cap=args.cap)
+        u = shorten(table, word, assume_finite=args.assume_finite, cap=cap)
     except InfiniteSemigroup as exc:
         return 0, {"status": "infinite",
                    "witness": word_to_str(exc.witness) if exc.witness else None}
+    except CapExceeded:
+        return 2, {"status": "exceeded_cap", "cap": cap or default_cap()}
     verified = table.evaluate(u) == table.evaluate(word)
     return 0, {"input_length": len(word),
                "output_word": word_to_str(u),
@@ -90,6 +102,8 @@ def cmd_shorten(args) -> tuple[int, dict]:
 
 
 def cmd_bound(args) -> tuple[int, dict]:
+    _at_least(args.n, "--n", 1)
+    _at_least(args.m, "--m", 1)
     report = length_bound(args.n)
     out = {"n": args.n, "g_upper": str(report.g_upper),
            "length_bound": str(report.length_bound)}
@@ -129,8 +143,9 @@ def cmd_image_graph(args) -> tuple[int, dict]:
 
 
 def cmd_wa_finite(args) -> tuple[int, dict]:
+    cap = _at_least(args.cap, "--cap", 1)
     A = automaton_from_json(_load_json(args.input))
-    verdict = decide_wa_finiteness(A, args.cap)
+    verdict = decide_wa_finiteness(A, cap)
     if verdict.status == "exceeded_cap":
         return 2, {"status": "exceeded_cap"}
     out = {"status": verdict.status}
@@ -140,8 +155,9 @@ def cmd_wa_finite(args) -> tuple[int, dict]:
 
 
 def cmd_vass_fmp(args) -> tuple[int, dict]:
+    cap = _at_least(args.cap, "--cap", 1)
     V = vass_from_json(_load_json(args.input))
-    verdict = check_fmp(V, args.cap)
+    verdict = check_fmp(V, cap)
     if verdict.status == "exceeded_cap":
         return 2, {"status": "exceeded_cap"}
     out = {"status": verdict.status}
@@ -164,6 +180,7 @@ def _parse_config(text: str, d: int) -> Configuration:
 
 
 def cmd_vass_reach(args) -> tuple[int, dict]:
+    _at_least(args.budget, "--budget", 0)
     V = vass_from_json(_load_json(args.input))
     source = _parse_config(args.source, V.d)
     target = _parse_config(args.target, V.d)

@@ -38,15 +38,15 @@ class FiniteGroupClosure:
 
     n: int
     generators: dict[str, Mat]
-    elements: dict[bytes, Mat]
-    witness: dict[bytes, Word]
+    elements: dict[Mat, Mat]
+    witness: dict[Mat, Word]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def contains(self, A: Mat) -> bool:
-        return A.key() in self.elements
+        return A in self.elements
 
 
 def _normalize_generators(gens) -> dict[str, Mat]:
@@ -73,25 +73,24 @@ def group_closure(gens, cap: int | None = None) -> FiniteGroupClosure:
     cap = math.factorial(2 * n) if cap is None else cap
 
     ident = Mat.identity(n)
-    elements = {ident.key(): ident}
-    witness: dict[bytes, Word] = {ident.key(): ()}
-    frontier = [(ident.key(), ident)]
+    elements = {ident: ident}
+    witness: dict[Mat, Word] = {ident: ()}
+    frontier = [ident]
     while frontier:
         fresh = []
-        for k, m in frontier:
-            w = witness[k]
+        for m in frontier:
+            w = witness[m]
             for label in generators:
                 p = m * generators[label]
-                pk = p.key()
-                if pk in elements:
+                if p in elements:
                     continue
                 if len(elements) >= cap:
                     raise GroupInfinite(w + (label,))
-                elements[pk] = p
-                witness[pk] = w + (label,)
+                elements[p] = p
+                witness[p] = w + (label,)
                 if not is_torsion(p):
                     raise GroupInfinite(w + (label,))
-                fresh.append((pk, p))
+                fresh.append(p)
         frontier = fresh
     return FiniteGroupClosure(n, generators, elements, witness)
 
@@ -99,10 +98,9 @@ def group_closure(gens, cap: int | None = None) -> FiniteGroupClosure:
 def short_product(H: FiniteGroupClosure, target: Mat) -> Word:
     """Shortest generator word for `target`; length is at most |H| - 1,
     and 0 for the identity."""
-    k = target.key()
-    if k not in H.witness:
+    if target not in H.witness:
         raise NotMember("target is not in the closure")
-    return H.witness[k]
+    return H.witness[target]
 
 
 @dataclass(frozen=True)
@@ -157,7 +155,7 @@ def hnf(B) -> IntegerLatticeBasis:
     if isinstance(B, Mat):
         if not B.is_integral():
             raise ValueError("HNF needs integer entries")
-        rows = [[int(x) for x in r] for r in B.data]
+        rows = B.int_rows()
         ncols = B.cols
     else:
         rows = [list(map(int, r)) for r in B]
@@ -176,14 +174,10 @@ def integerize(G: FiniteGroupClosure, verify: bool = True) -> Mat:
     are re-reduced per element to keep integers small.
     """
     n = G.n
-    d = 1
-    for m in G.elements.values():
-        for r in m.data:
-            for x in r:
-                d = math.lcm(d, x.denominator)
+    d = math.lcm(*(m.den for m in G.elements.values()))
     rows: list[list[int]] = []
     for m in G.elements.values():
-        rows.extend([int(x * d) for x in r] for r in m.data)
+        rows.extend([x * (d // m.den) for x in r] for r in m.int_rows())
         rows = _hnf_rows(rows, n)
     if len(rows) != n:
         raise GroupNotFinite("invariant lattice does not have full rank")

@@ -3,12 +3,20 @@
 Row-vector convention throughout the package: vectors are rows, a matrix A
 acts on the right (x -> x*A), the image of A is its row space and the
 kernel is the left null space {x : x*A = 0}.
+
+A matrix is stored as integer numerators over one positive common
+denominator, in lowest terms, so products and comparisons are integer
+work. Elimination is fraction-free (Bareiss 1968; the reduced form is
+the fraction-free Gauss-Jordan variant): every division is exact, and
+the rational result is formed once at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -25,48 +33,107 @@ class NotInvertible(LinAlgError):
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"float entry {x!r}: pass an int, a Fraction or a rational string")
+    return Fraction(x)
+
+
+def _mat(rows: int, cols: int, num: tuple, den: int) -> "Mat":
+    """A Mat from row-major numerators over a nonzero denominator; brings
+    the pair to lowest terms with a positive denominator."""
+    if den < 0:
+        num = tuple(-x for x in num)
+        den = -den
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(x // g for x in num)
+            den //= g
+    m = object.__new__(Mat)
+    m.rows = rows
+    m.cols = cols
+    m.num = num
+    m.den = den
+    m._hash = None
+    return m
 
 
 class Mat:
-    """Immutable dense matrix of Fractions. Hashable; arithmetic is exact.
+    """Immutable dense rational matrix. Hashable; arithmetic is exact.
+
+    `num` holds the row-major integer numerators and `den` their common
+    positive denominator, with gcd(den, *num) == 1 (so den == 1 exactly
+    for integral matrices). `data` is the same matrix as rows of
+    Fractions, built on first read and then kept.
 
     Zero-row and zero-column matrices are allowed; pass `cols` explicitly
     when there are no rows.
     """
 
-    __slots__ = ("rows", "cols", "data", "_hash")
+    __slots__ = ("rows", "cols", "num", "den", "_hash", "data")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
-        rows = tuple(tuple(_frac(x) for x in row) for row in data)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
+        grid = [tuple(row) for row in data]
+        if grid:
+            width = len(grid[0])
+            if any(len(r) != width for r in grid):
                 raise DimensionMismatch("ragged rows")
             if cols is not None and cols != width:
                 raise DimensionMismatch(f"declared {cols} columns, rows have {width}")
             cols = width
         elif cols is None:
             raise DimensionMismatch("a matrix with no rows needs an explicit column count")
-        self.data = rows
-        self.rows = len(rows)
+        flat = [x for r in grid for x in r]
+        if all(type(x) is int for x in flat):
+            num, den = tuple(flat), 1
+        else:
+            fracs = [_frac(x) for x in flat]
+            # the lcm of lowest-terms denominators leaves the pair in lowest terms
+            den = lcm(*(x.denominator for x in fracs))
+            num = tuple(x.numerator * (den // x.denominator) for x in fracs)
+        self.rows = len(grid)
         self.cols = cols
+        self.num = num
+        self.den = den
         self._hash = None
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), cols=n)
+        return _mat(n, n, tuple(int(i == j) for i in range(n) for j in range(n)), 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
-        zero = Fraction(0)
-        return cls(tuple((zero,) * cols for _ in range(rows)), cols=cols)
+        return _mat(rows, cols, (0,) * (rows * cols), 1)
 
     @classmethod
     def row_vector(cls, entries: Sequence) -> "Mat":
         entries = tuple(entries)
         return cls((entries,), cols=len(entries))
+
+    def __getattr__(self, name: str):
+        # reached only while a slot is unset; `data` is filled on first read,
+        # so later reads are plain slot reads (hot loops index it per entry)
+        if name != "data":
+            raise AttributeError(f"'Mat' object has no attribute {name!r}")
+        den, c = self.den, self.cols
+        if den == 1:
+            flat = [Fraction(x) for x in self.num]
+        else:
+            flat = [Fraction(x, den) for x in self.num]
+        if c:
+            self.data = tuple(tuple(flat[i:i + c]) for i in range(0, len(flat), c))
+        else:
+            self.data = ((),) * self.rows
+        return self.data
+
+    def int_rows(self) -> list[list[int]]:
+        """Rows of numerators (the matrix times its denominator), as fresh lists."""
+        num, c = self.num, self.cols
+        if not c:
+            return [[] for _ in range(self.rows)]
+        return [list(num[i:i + c]) for i in range(0, len(num), c)]
 
     def row(self, i: int) -> tuple:
         return self.data[i]
@@ -75,68 +142,127 @@ class Mat:
         return tuple(r[j] for r in self.data)
 
     def transpose(self) -> "Mat":
-        return Mat(tuple(zip(*self.data)) if self.data else (), cols=self.rows)
+        num, c = self.num, self.cols
+        return _mat(c, self.rows, tuple(x for j in range(c) for x in num[j::c]), self.den)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for r in self.data for x in r)
+        return self.den == 1
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
+        return not any(self.num)
 
     def __mul__(self, other):
         if isinstance(other, Mat):
-            if self.cols != other.rows:
+            k = self.cols
+            if k != other.rows:
                 raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-            cols_of_other = other.transpose().data if other.data else ()
-            out = []
-            for r in self.data:
-                if other.cols and self.cols:
-                    out.append(tuple(sum(a * b for a, b in zip(r, c)) for c in cols_of_other))
-                else:
-                    out.append((Fraction(0),) * other.cols)
-            return Mat(out, cols=other.cols)
-        return Mat(tuple(tuple(_frac(other) * x for x in r) for r in self.data), cols=self.cols)
+            c = other.cols
+            a, b = self.num, other.num
+            if k:
+                columns = [b[j::c] for j in range(c)]
+                num = tuple([sum(map(mul, a[i:i + k], col))
+                             for i in range(0, len(a), k) for col in columns])
+            else:
+                num = (0,) * (self.rows * c)
+            return _mat(self.rows, c, num, self.den * other.den)
+        return self._scaled(_frac(other))
 
     def __rmul__(self, other):
-        return Mat(tuple(tuple(_frac(other) * x for x in r) for r in self.data), cols=self.cols)
+        return self._scaled(_frac(other))
+
+    def _scaled(self, s: Fraction) -> "Mat":
+        p = s.numerator
+        return _mat(self.rows, self.cols, tuple(p * x for x in self.num),
+                    self.den * s.denominator if p else 1)
 
     def __add__(self, other: "Mat") -> "Mat":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("matrix addition shape mismatch")
-        return Mat(tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.data, other.data)),
-                   cols=self.cols)
+        da, db = self.den, other.den
+        if da == db:
+            num = tuple(x + y for x, y in zip(self.num, other.num))
+        else:
+            num = tuple(x * db + y * da for x, y in zip(self.num, other.num))
+        return _mat(self.rows, self.cols, num, da * db if da != db else da)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-1) * other
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and self.cols == other.cols and self.data == other.data
+        return (isinstance(other, Mat) and self.rows == other.rows and self.cols == other.cols
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.rows, self.cols, self.data))
+            self._hash = hash((self.rows, self.cols, self.den, self.num))
         return self._hash
 
-    def key(self) -> bytes:
-        """Canonical byte encoding; equal keys iff equal matrices."""
-        body = ";".join(",".join(f"{x.numerator}/{x.denominator}" for x in r) for r in self.data)
-        return f"{self.rows}x{self.cols}:{body}".encode()
+    def key(self) -> "Mat":
+        """The matrix itself: equal keys iff equal matrices."""
+        return self
 
     def __repr__(self):
         return f"Mat({[[str(x) for x in r] for r in self.data]})"
 
 
-def canonical_key(A: Mat) -> bytes:
+def canonical_key(A: Mat) -> Mat:
     return A.key()
 
 
 def stack(A: Mat, B: Mat) -> Mat:
     if A.cols != B.cols:
         raise DimensionMismatch("stack needs equal column counts")
-    return Mat(A.data + B.data, cols=A.cols)
+    d = lcm(A.den, B.den)
+    fa, fb = d // A.den, d // B.den
+    return _mat(A.rows + B.rows, A.cols,
+                tuple(fa * x for x in A.num) + tuple(fb * x for x in B.num), d)
+
+
+def _eliminate(m: list[list[int]], ncols: int, reduced: bool) -> tuple[int, list[int], int]:
+    """Fraction-free elimination of the integer rows `m`, in place.
+
+    The pivot is the first nonzero entry at or below the current row. After
+    k pivots, each entry is a minor of the input of order k (pivot rows) or
+    k + 1 (the rows below), by Sylvester's identity, so each division by
+    the previous pivot is exact. With `reduced`, rows above the pivot are
+    cleared too and the pivot rows end as d * RREF, where d is the last
+    pivot. Returns (d, pivot columns, sign of the row permutation).
+    """
+    nrows = len(m)
+    d = 1
+    sign = 1
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            sign = -sign
+        prow = m[r]
+        p = prow[c]
+        for i in range(0 if reduced else r + 1, nrows):
+            if i == r:
+                continue
+            row = m[i]
+            f = row[c]
+            if f:
+                if d == 1:
+                    m[i] = [p * x - f * y for x, y in zip(row, prow)]
+                else:
+                    m[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+            elif p != d and any(row):
+                m[i] = [p * x // d for x in row]
+        d = p
+        pivots.append(c)
+        r += 1
+    return d, pivots, sign
 
 
 @dataclass(frozen=True)
@@ -147,29 +273,15 @@ class RrefResult:
 
 
 def rref(A: Mat) -> RrefResult:
-    """Reduced row echelon form: unit pivots, zeros above and below."""
-    m = [list(r) for r in A.data]
-    nrows, ncols = A.rows, A.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            m[r] = [x / pv for x in m[r]]
-        pivot_row = m[r]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], pivot_row)]
-        pivots.append(c)
-        r += 1
-    return RrefResult(Mat(m, cols=ncols), tuple(pivots), r)
+    """Reduced row echelon form: unit pivots, zeros above and below.
+
+    Eliminates on the numerators of A, since the denominator does not
+    change the reduced form, and divides by the last pivot once, at the end.
+    """
+    m = A.int_rows()
+    d, pivots, _ = _eliminate(m, A.cols, reduced=True)
+    return RrefResult(_mat(A.rows, A.cols, tuple(x for r in m for x in r), d),
+                      tuple(pivots), len(pivots))
 
 
 def rank(A: Mat) -> int:
@@ -193,10 +305,7 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows: Iterable[Iterable]) -> "Subspace":
-        A = Mat(rows, cols=ambient_dim)
-        res = rref(A)
-        basis = Mat(res.matrix.data[: res.rank], cols=ambient_dim)
-        return cls(ambient_dim, basis, res.pivots)
+        return _span(Mat(rows, cols=ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -204,34 +313,41 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_rows(ambient_dim, Mat.identity(ambient_dim).data)
+        return _span(Mat.identity(ambient_dim))
 
     @property
     def dim(self) -> int:
         return self.basis.rows
 
-    def contains(self, v: Sequence) -> bool:
-        v = tuple(_frac(x) for x in v)
+    def _numerators(self, v: Sequence) -> list[int]:
+        """v scaled to integers (by a positive factor)."""
+        v = [_frac(x) for x in v]
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector has wrong length")
-        residual = list(v)
-        for row, p in zip(self.basis.data, self.pivots):
-            c = residual[p]
+        d = lcm(*(x.denominator for x in v))
+        return [x.numerator * (d // x.denominator) for x in v]
+
+    def _spans(self, w: list[int]) -> bool:
+        # with unit pivots, v lies in the space iff v == sum of v[p] * row_p;
+        # times the basis denominator that is an identity of integers
+        B, n = self.basis, self.ambient_dim
+        rebuilt = [0] * n
+        for i, p in enumerate(self.pivots):
+            c = w[p]
             if c:
-                residual = [x - c * y for x, y in zip(residual, row)]
-        return not any(residual)
+                row = B.num[i * n:(i + 1) * n]
+                rebuilt = [x + c * y for x, y in zip(rebuilt, row)]
+        den = B.den
+        return all(x == den * y for x, y in zip(rebuilt, w))
+
+    def contains(self, v: Sequence) -> bool:
+        return self._spans(self._numerators(v))
 
     def coords(self, v: Sequence) -> tuple:
         """Coefficients of v in the RREF basis; raises if v is outside."""
-        v = tuple(_frac(x) for x in v)
-        c = tuple(v[p] for p in self.pivots)
-        rebuilt = [Fraction(0)] * self.ambient_dim
-        for coef, row in zip(c, self.basis.data):
-            if coef:
-                rebuilt = [x + coef * y for x, y in zip(rebuilt, row)]
-        if tuple(rebuilt) != v:
+        if not self._spans(self._numerators(v)):
             raise LinAlgError("vector not in subspace")
-        return c
+        return tuple(_frac(v[p]) for p in self.pivots)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -247,61 +363,73 @@ class Subspace:
         return f"Subspace(dim={self.dim} of Q^{self.ambient_dim})"
 
 
+def _span(A: Mat) -> Subspace:
+    """Row space of A as a Subspace."""
+    res = rref(A)
+    R = res.matrix
+    basis = _mat(res.rank, A.cols, R.num[:res.rank * A.cols], R.den)
+    return Subspace(A.cols, basis, res.pivots)
+
+
 def image(A: Mat) -> Subspace:
     """Row space of A, i.e. {x*A : x in Q^n} under the row convention."""
-    return Subspace.from_rows(A.cols, A.data)
+    return _span(A)
 
 
 def kernel(A: Mat) -> Subspace:
     """Left kernel {x : x*A = 0}; a subspace of Q^rows."""
+    n = A.rows
     res = rref(A.transpose())
-    R, pivots = res.matrix, res.pivots
-    free = [j for j in range(A.rows) if j not in set(pivots)]
+    R, d = res.matrix.num, res.matrix.den
+    # each free column f of rref(A^T) = R / d gives the kernel vector with d
+    # at f and -R[i][f] at pivot p_i (the usual basis vector, scaled by d)
+    free = sorted(set(range(n)) - set(res.pivots))
     rows = []
     for f in free:
-        v = [Fraction(0)] * A.rows
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -R.data[i][f]
-        rows.append(v)
-    return Subspace.from_rows(A.rows, rows)
+        v = [0] * n
+        v[f] = d
+        for i, p in enumerate(res.pivots):
+            v[p] = -R[i * n + f]
+        rows.extend(v)
+    return _span(_mat(len(free), n, tuple(rows), 1))
 
 
 def inverse(A: Mat) -> Mat:
     if not A.is_square():
         raise DimensionMismatch("inverse needs a square matrix")
     n = A.rows
-    aug = Mat(tuple(r + i for r, i in zip(A.data, Mat.identity(n).data)), cols=2 * n if n else 0)
-    res = rref(aug)
+    # A = N / den, so inverse(A) = den * inverse(N), read off rref([N | I])
+    rows = A.int_rows()
+    for i, r in enumerate(rows):
+        r.extend(int(i == j) for j in range(n))
+    res = rref(_mat(n, 2 * n, tuple(x for r in rows for x in r), 1))
     if res.pivots[:n] != tuple(range(n)):
         raise NotInvertible("matrix is singular")
-    return Mat(tuple(r[n:] for r in res.matrix.data), cols=n)
+    R = res.matrix.num
+    right = tuple(A.den * x for i in range(n) for x in R[2 * n * i + n:2 * n * (i + 1)])
+    return _mat(n, n, right, res.matrix.den)
 
 
 def det(A: Mat) -> Fraction:
     if not A.is_square():
         raise DimensionMismatch("determinant needs a square matrix")
     n = A.rows
-    m = [list(r) for r in A.data]
-    result = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c]), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            result = -result
-        pv = m[c][c]
-        result *= pv
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / pv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result
+    m = A.int_rows()
+    d, pivots, sign = _eliminate(m, n, reduced=False)
+    if len(pivots) < n:
+        return Fraction(0)
+    # the last Bareiss pivot is det(N), and det(A) = det(N) / den^n
+    return Fraction(sign * d, A.den ** n)
 
 
 def minimal_polynomial(A: Mat) -> tuple:
     """Monic minimal polynomial of A, constant term first.
+
+    With A = N / den for the integer matrix N, the flattened powers N^0,
+    N^1, ... are reduced against each other, fraction-free, while each
+    reduced row keeps its combination of the powers. The first power that
+    reduces to zero gives the dependence sum c_j N^j = 0, that is
+    sum c_j den^j A^j = 0.
 
     The 0x0 matrix gets the unit polynomial 1.
     """
@@ -310,15 +438,23 @@ def minimal_polynomial(A: Mat) -> tuple:
     n = A.rows
     if n == 0:
         return (Fraction(1),)
-    flats = [tuple(x for r in Mat.identity(n).data for x in r)]
+    N = _mat(n, n, A.num, 1)
+    reduced = []  # (pivot, row, combination) for the independent powers so far
     power = Mat.identity(n)
-    for k in range(1, n + 1):
-        power = power * A
-        flats.append(tuple(x for r in power.data for x in r))
-        ker = kernel(Mat(flats, cols=n * n))
-        if ker.dim > 0:
-            c = ker.basis.row(0)
-            lead = c[k]
-            assert lead != 0, "dependence must involve the newest power"
-            return tuple(x / lead for x in c)
+    for k in range(n + 1):
+        row = list(power.num)
+        comb = [int(j == k) for j in range(n + 1)]
+        for p, prow, pcomb in reduced:
+            f = row[p]
+            if f:
+                g = prow[p]
+                row = [g * x - f * y for x, y in zip(row, prow)]
+                comb = [g * x - f * y for x, y in zip(comb, pcomb)]
+        if not any(row):
+            lead = comb[k] * A.den ** k
+            return tuple(Fraction(c * A.den ** j, lead) for j, c in enumerate(comb[:k + 1]))
+        g = gcd(*row, *comb)
+        reduced.append((next(j for j, x in enumerate(row) if x),
+                        [x // g for x in row], [x // g for x in comb]))
+        power = power * N
     raise AssertionError("minimal polynomial of degree <= n must exist")

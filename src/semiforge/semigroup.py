@@ -46,13 +46,17 @@ class MorphismTable:
                 raise ValueError(f"matrix for {a!r} is not {self.n}x{self.n}")
 
     def evaluate(self, word) -> Mat:
-        m = Mat.identity(self.n)
-        for a in word:
+        letters = iter(word)
+        first = next(letters, None)
+        if first is None:
+            return Mat.identity(self.n)
+        m = self.mapping[first]
+        for a in letters:
             m = m * self.mapping[a]
         return m
 
     def key(self) -> tuple:
-        return tuple((a, self.mapping[a].key()) for a in self.alphabet)
+        return tuple((a, self.mapping[a]) for a in self.alphabet)
 
 
 @dataclass
@@ -61,8 +65,8 @@ class ClosureResult:
     word per element. `status` is "finite" or "exceeded_cap"."""
 
     n: int
-    elements: dict[bytes, Mat]
-    witness: dict[bytes, Word]
+    elements: dict[Mat, Mat]
+    witness: dict[Mat, Word]
     status: str
     cap: int
 
@@ -70,11 +74,11 @@ class ClosureResult:
         return len(self.elements)
 
     def contains(self, A: Mat) -> bool:
-        return A.key() in self.elements
+        return A in self.elements
 
     @property
     def identity_expressible(self) -> bool:
-        return Mat.identity(self.n).key() in self.elements
+        return Mat.identity(self.n) in self.elements
 
 
 def closure(table: MorphismTable, cap: int | None = None) -> ClosureResult:
@@ -82,8 +86,8 @@ def closure(table: MorphismTable, cap: int | None = None) -> ClosureResult:
     cap = default_cap() if cap is None else cap
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    elements: dict[bytes, Mat] = {}
-    witness: dict[bytes, Word] = {}
+    elements: dict[Mat, Mat] = {}
+    witness: dict[Mat, Word] = {}
 
     def exceeded():
         return ClosureResult(table.n, elements, witness, "exceeded_cap", cap)
@@ -91,26 +95,24 @@ def closure(table: MorphismTable, cap: int | None = None) -> ClosureResult:
     frontier = []
     for a in table.alphabet:
         m = table.mapping[a]
-        k = m.key()
-        if k not in elements:
+        if m not in elements:
             if len(elements) >= cap:
                 return exceeded()
-            elements[k] = m
-            witness[k] = (a,)
-            frontier.append((k, m))
+            elements[m] = m
+            witness[m] = (a,)
+            frontier.append(m)
     while frontier:
         fresh = []
-        for k, m in frontier:
-            w = witness[k]
+        for m in frontier:
+            w = witness[m]
             for a in table.alphabet:
                 p = m * table.mapping[a]
-                pk = p.key()
-                if pk not in elements:
+                if p not in elements:
                     if len(elements) >= cap:
                         return exceeded()
-                    elements[pk] = p
-                    witness[pk] = w + (a,)
-                    fresh.append((pk, p))
+                    elements[p] = p
+                    witness[p] = w + (a,)
+                    fresh.append(p)
         frontier = fresh
     return ClosureResult(table.n, elements, witness, "finite", cap)
 
@@ -168,19 +170,18 @@ def decide_finiteness(table: MorphismTable, cap: int | None = None) -> Finitenes
     safety net that yields "exceeded_cap" without a verdict.
     """
     cap = default_cap() if cap is None else cap
-    elements: dict[bytes, Mat] = {}
-    witness: dict[bytes, Word] = {}
+    elements: dict[Mat, Mat] = {}
+    witness: dict[Mat, Word] = {}
     frontier = []
 
     def admit(m: Mat, w: Word):
-        k = m.key()
-        if k in elements:
+        if m in elements:
             return None
         if len(elements) >= cap:
             return "cap"
-        elements[k] = m
-        witness[k] = w
-        frontier.append((k, m))
+        elements[m] = m
+        witness[m] = w
+        frontier.append(m)
         if not is_torsion(m):
             return "infinite"
         return None
@@ -188,13 +189,13 @@ def decide_finiteness(table: MorphismTable, cap: int | None = None) -> Finitenes
     for a in table.alphabet:
         verdict = admit(table.mapping[a], (a,))
         if verdict == "infinite":
-            return FinitenessResult("infinite", witness=witness[table.mapping[a].key()])
+            return FinitenessResult("infinite", witness=witness[table.mapping[a]])
         if verdict == "cap":
             return FinitenessResult("exceeded_cap")
     while frontier:
         current, frontier = frontier, []
-        for k, m in current:
-            w = witness[k]
+        for m in current:
+            w = witness[m]
             for a in table.alphabet:
                 p = m * table.mapping[a]
                 verdict = admit(p, w + (a,))
@@ -253,7 +254,6 @@ def size_bound(n: int, m: int) -> int:
 def shortest_word_for(result: ClosureResult, A: Mat) -> Word:
     if result.status != "finite":
         raise ValueError("closure did not complete")
-    k = A.key()
-    if k not in result.witness:
+    if A not in result.witness:
         raise NotMember("matrix is not in the semigroup")
-    return result.witness[k]
+    return result.witness[A]

@@ -132,8 +132,11 @@ def vass_from_json(obj) -> AffineVass:
             raise ParseError(f"transition {i}: matrix is not {d}x{d}")
         if len(t["b"]) != d:
             raise ParseError(f"transition {i}: offset is not length {d}")
-        transitions.append(Transition(t["from"], Mat(A, cols=d),
-                                      tuple(int(x) for x in t["b"]), t["to"]))
+        # JSON integers only: a float or a string would be truncated or misread
+        entries = [x for r in A for x in r] + list(t["b"])
+        if any(type(x) is not int for x in entries):
+            raise ParseError(f"transition {i}: 'A' and 'b' entries must be JSON integers")
+        transitions.append(Transition(t["from"], Mat(A, cols=d), tuple(t["b"]), t["to"]))
     try:
         return AffineVass(d, tuple(obj["states"]), tuple(transitions))
     except ValueError as exc:

@@ -116,13 +116,13 @@ class _Caches:
 
     def mprime(self, table: MorphismTable, frame: CycleFrame, word: Word) -> Mat:
         value = table.evaluate(word)
-        k = (frame.base_space.basis.key(), value.key())
+        k = (frame.base_space.basis, value)
         if k not in self.mprimes:
             self.mprimes[k] = cycle_rep(table, frame, word).mprime
         return self.mprimes[k]
 
     def path(self, G: ImageGraph, V1: Subspace, V2: Subspace) -> Word:
-        k = (G.table.key(), V1.basis.key(), V2.basis.key())
+        k = (G.table.key(), V1.basis, V2.basis)
         if k not in self.paths:
             self.paths[k] = scc_shortest_path(G, V1, V2)
         return self.paths[k]
@@ -132,15 +132,14 @@ def _reduce_to_target(table: MorphismTable, frame: CycleFrame,
                       candidates: list[Word], target: Mat, caches: _Caches) -> list[Word]:
     """Pick cycles from `candidates` whose representation matrices multiply
     to `target`; at most |group| - 1 of them."""
-    labels: dict[bytes, str] = {}
+    labels: dict[Mat, str] = {}
     gens: dict[str, Mat] = {}
     label_word: dict[str, Word] = {}
     for w in candidates:
         m = caches.mprime(table, frame, w)
-        k = m.key()
-        if k not in labels:
+        if m not in labels:
             name = f"c{len(labels)}"
-            labels[k] = name
+            labels[m] = name
             gens[name] = m
             label_word[name] = w
     gen_items = tuple(sorted(gens.items(), key=lambda kv: kv[0]))
@@ -293,7 +292,7 @@ class Shortener:
         prefix = rest  # rank > r (possibly empty)
 
         short_prefix = self.shorten(prefix)
-        derived: dict[bytes, tuple[str, Word]] = {}
+        derived: dict[Mat, tuple[str, Word]] = {}
         letters: list[str] = []
         mapping: dict[str, Mat] = {}
         derived_word: list[str] = []
@@ -301,13 +300,12 @@ class Shortener:
             short_body = self.shorten(body)
             m = table.mapping[head] * table.evaluate(short_body)
             assert rank(m) == r
-            k = m.key()
-            if k not in derived:
+            if m not in derived:
                 name = f"s{len(derived)}"
-                derived[k] = (name, (head,) + short_body)
+                derived[m] = (name, (head,) + short_body)
                 letters.append(name)
                 mapping[name] = m
-            derived_word.append(derived[k][0])
+            derived_word.append(derived[m][0])
         sub_table = MorphismTable(n, tuple(letters), mapping)
         x = shorten_max_rank(sub_table, tuple(derived_word), self._caches)
         replacement = {name: w for name, w in derived.values()}

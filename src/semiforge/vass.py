@@ -59,12 +59,11 @@ def step(V: AffineVass, c: Configuration) -> list[Configuration]:
 def transition_matrices(V: AffineVass) -> MorphismTable:
     """The update matrices of V as a morphism table (deduplicated)."""
     mapping: dict[str, Mat] = {}
-    seen: dict[bytes, str] = {}
+    seen: dict[Mat, str] = {}
     for t in V.transitions:
-        k = t.matrix.key()
-        if k not in seen:
+        if t.matrix not in seen:
             name = f"t{len(seen)}"
-            seen[k] = name
+            seen[t.matrix] = name
             mapping[name] = t.matrix
     return MorphismTable(V.d, tuple(mapping), mapping)
 

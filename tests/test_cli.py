@@ -187,3 +187,55 @@ def test_deterministic_output(capsys, rot90_file):
     _, first = run(capsys, "closure", rot90_file)
     _, second = run(capsys, "closure", rot90_file)
     assert first == second
+
+
+class TestDocumentedExitCodes:
+    def test_shorten_cap_exceeded_is_exit_2(self, capsys, rot90_file):
+        code, out = run(capsys, "shorten", rot90_file, "--word", "aa", "--cap", "3")
+        assert code == 2
+        assert out == {"status": "exceeded_cap", "cap": 3}
+
+    @pytest.mark.parametrize("argv", [["bound", "--n", "0"],
+                                      ["bound", "--n", "1", "--m", "0"]])
+    def test_bound_out_of_range_is_exit_1(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be at least 1" in captured.err
+
+    @pytest.mark.parametrize("command", ["finiteness", "closure", "shorten"])
+    def test_cap_zero_is_exit_1(self, capsys, rot90_file, command):
+        extra = ["--word", "a"] if command == "shorten" else []
+        assert main([command, rot90_file, "--cap", "0", *extra]) == 1
+        assert "--cap must be at least 1" in capsys.readouterr().err
+
+    def test_negative_budget_is_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "vass.json"
+        path.write_text(json.dumps({
+            "d": 1, "states": ["q"],
+            "transitions": [{"from": "q", "A": [[1]], "b": [1], "to": "q"}],
+        }))
+        assert main(["vass-reach", str(path), "--from", "q:0", "--to", "q:3",
+                     "--budget", "-1"]) == 1
+        assert "--budget must be at least 0" in capsys.readouterr().err
+
+
+class TestVassEntriesMustBeIntegers:
+    @pytest.mark.parametrize("offset", [[1.7], ["1/2"], [True]])
+    def test_non_integer_offset_is_a_parse_error(self, capsys, tmp_path, offset):
+        path = tmp_path / "vass.json"
+        path.write_text(json.dumps({
+            "d": 1, "states": ["q"],
+            "transitions": [{"from": "q", "A": [[1]], "b": offset, "to": "q"}],
+        }))
+        assert main(["vass-reach", str(path), "--from", "q:0", "--to", "q:3",
+                     "--budget", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be JSON integers" in captured.err
+
+    def test_float_matrix_entry_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "vass.json"
+        path.write_text(json.dumps({
+            "d": 1, "states": ["q"],
+            "transitions": [{"from": "q", "A": [[1.0]], "b": [1], "to": "q"}],
+        }))
+        assert main(["vass-fmp", str(path)]) == 1
