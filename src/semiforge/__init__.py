@@ -8,7 +8,7 @@ weighted automata over Q. Everything is computed exactly; no floats.
 
 __version__ = "0.1.0"
 
-from .linalg import (Mat, Subspace, canonical_key, det, image, inverse, kernel,
+from .linalg import (Mat, Subspace, det, image, inverse, kernel,
                      minimal_polynomial, rank, rref,
                      DimensionMismatch, NotInvertible)
 from .exterior import MultiVector, iota, trivial_intersection, wedge
@@ -16,9 +16,8 @@ from .semigroup import (BoundReport, ClosureResult, FinitenessResult,
                         MorphismTable, CapExceeded, NotMember,
                         closure, decide_finiteness, default_cap, is_torsion,
                         length_bound, shortest_word_for, size_bound)
-from .grouplat import (FiniteGroupClosure, GroupInfinite, IntegerLatticeBasis,
-                       NonInvertibleGenerator, group_closure, hnf, integerize,
-                       short_product)
+from .grouplat import (FiniteGroupClosure, GroupInfinite, NonInvertibleGenerator,
+                       group_closure, hnf, integerize, short_product)
 from .imagegraph import (ImageGraph, MixedRankGenerators, NotSameSCC,
                          RankDropped, build_image_graph, scc_segment_decompose,
                          scc_shortest_path, to_dot)

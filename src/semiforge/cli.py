@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .grouplat import GroupInfinite, group_closure, integerize
-from .imagegraph import build_image_graph, to_dot
+from .imagegraph import MixedRankGenerators, build_image_graph, to_dot
 from .linalg import inverse
 from .semigroup import (CapExceeded, closure, decide_finiteness, default_cap,
                         length_bound, size_bound)
@@ -49,23 +49,34 @@ def _at_least(value, flag: str, minimum: int):
 
 
 def _witness_listing(result) -> list:
-    return [{"word": word_to_str(result.witness[k]),
-             "matrix": matrix_to_json(result.elements[k])}
-            for k in result.elements]
+    return [{"word": word_to_str(w), "matrix": matrix_to_json(m)}
+            for m, w in result.witness.items()]
+
+
+def _exceeded(cap) -> tuple[int, dict]:
+    return 2, {"status": "exceeded_cap", "cap": cap or default_cap()}
+
+
+def _verdict(verdict, cap) -> tuple[int, dict]:
+    """Exit code and JSON of a FinitenessResult, without the closure."""
+    if verdict.status == "exceeded_cap":
+        return _exceeded(cap)
+    out = {"status": verdict.status}
+    if verdict.status == "infinite":
+        out["witness"] = word_to_str(verdict.witness)
+    return 0, out
 
 
 def cmd_finiteness(args) -> tuple[int, dict]:
     cap = _at_least(args.cap, "--cap", 1)
     table = generators_from_json(_load_json(args.input))
     verdict = decide_finiteness(table, cap)
-    if verdict.status == "exceeded_cap":
-        return 2, {"status": "exceeded_cap", "cap": cap or default_cap()}
-    if verdict.status == "infinite":
-        return 0, {"status": "infinite", "witness": word_to_str(verdict.witness)}
-    out = {"status": "finite", "count": len(verdict.closure)}
-    if args.witnesses:
-        out["elements"] = _witness_listing(verdict.closure)
-    return 0, out
+    code, out = _verdict(verdict, cap)
+    if verdict.status == "finite":
+        out["count"] = len(verdict.closure)
+        if args.witnesses:
+            out["elements"] = _witness_listing(verdict.closure)
+    return code, out
 
 
 def cmd_closure(args) -> tuple[int, dict]:
@@ -92,13 +103,30 @@ def cmd_shorten(args) -> tuple[int, dict]:
         return 0, {"status": "infinite",
                    "witness": word_to_str(exc.witness) if exc.witness else None}
     except CapExceeded:
-        return 2, {"status": "exceeded_cap", "cap": cap or default_cap()}
+        return _exceeded(cap)
     verified = table.evaluate(u) == table.evaluate(word)
     return 0, {"input_length": len(word),
                "output_word": word_to_str(u),
                "output_length": len(u),
                "bound": str(length_bound(table.n).length_bound),
                "verified": verified}
+
+
+# Python's default int -> str limit is 4300 digits
+_DECIMAL_LIMIT = 10 ** 4300
+
+
+def _size_bound_text(n: int, m: int) -> str:
+    """size_bound(n, m) in decimal when it has at most 4300 digits, else
+    the exact closed form. The bound is at least m^L >= 2^(L*(bits(m)-1)),
+    so past the limit it is never built; below it, it has at most about
+    29k bits."""
+    L = length_bound(n).length_bound
+    if L * (m.bit_length() - 1) < _DECIMAL_LIMIT.bit_length():
+        value = size_bound(n, m)
+        if value < _DECIMAL_LIMIT:
+            return str(value)
+    return f"({m}^({L}+1) - {m})/({m} - 1)"
 
 
 def cmd_bound(args) -> tuple[int, dict]:
@@ -109,7 +137,7 @@ def cmd_bound(args) -> tuple[int, dict]:
            "length_bound": str(report.length_bound)}
     if args.m is not None:
         out["m"] = args.m
-        out["size_bound"] = str(size_bound(args.n, args.m))
+        out["size_bound"] = _size_bound_text(args.n, args.m)
     return 0, out
 
 
@@ -145,25 +173,13 @@ def cmd_image_graph(args) -> tuple[int, dict]:
 def cmd_wa_finite(args) -> tuple[int, dict]:
     cap = _at_least(args.cap, "--cap", 1)
     A = automaton_from_json(_load_json(args.input))
-    verdict = decide_wa_finiteness(A, cap)
-    if verdict.status == "exceeded_cap":
-        return 2, {"status": "exceeded_cap"}
-    out = {"status": verdict.status}
-    if verdict.status == "infinite":
-        out["witness"] = word_to_str(verdict.witness)
-    return 0, out
+    return _verdict(decide_wa_finiteness(A, cap), cap)
 
 
 def cmd_vass_fmp(args) -> tuple[int, dict]:
     cap = _at_least(args.cap, "--cap", 1)
     V = vass_from_json(_load_json(args.input))
-    verdict = check_fmp(V, cap)
-    if verdict.status == "exceeded_cap":
-        return 2, {"status": "exceeded_cap"}
-    out = {"status": verdict.status}
-    if verdict.status == "infinite":
-        out["witness"] = word_to_str(verdict.witness)
-    return 0, out
+    return _verdict(check_fmp(V, cap), cap)
 
 
 def _parse_config(text: str, d: int) -> Configuration:
@@ -254,7 +270,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, result = args.handler(args)
-    except (CliError, ParseError) as exc:
+    except (CliError, ParseError, MixedRankGenerators) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "code", 1)
     text = json.dumps(result, indent=2)

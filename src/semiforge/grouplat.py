@@ -12,14 +12,10 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Mat, inverse, rank, det
-from .semigroup import NotMember, Word, is_torsion
+from .semigroup import NotMember, Word, _bfs
 
 
 class NonInvertibleGenerator(ValueError):
-    pass
-
-
-class GroupNotFinite(ValueError):
     pass
 
 
@@ -38,15 +34,14 @@ class FiniteGroupClosure:
 
     n: int
     generators: dict[str, Mat]
-    elements: dict[Mat, Mat]
     witness: dict[Mat, Word]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.witness)
 
     def contains(self, A: Mat) -> bool:
-        return A in self.elements
+        return A in self.witness
 
 
 def _normalize_generators(gens) -> dict[str, Mat]:
@@ -72,27 +67,11 @@ def group_closure(gens, cap: int | None = None) -> FiniteGroupClosure:
             raise NonInvertibleGenerator(f"generator {label!r} is singular")
     cap = math.factorial(2 * n) if cap is None else cap
 
-    ident = Mat.identity(n)
-    elements = {ident: ident}
-    witness: dict[Mat, Word] = {ident: ()}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for m in frontier:
-            w = witness[m]
-            for label in generators:
-                p = m * generators[label]
-                if p in elements:
-                    continue
-                if len(elements) >= cap:
-                    raise GroupInfinite(w + (label,))
-                elements[p] = p
-                witness[p] = w + (label,)
-                if not is_torsion(p):
-                    raise GroupInfinite(w + (label,))
-                fresh.append(p)
-        frontier = fresh
-    return FiniteGroupClosure(n, generators, elements, witness)
+    witness, status, word = _bfs(generators.items(), cap, torsion=True,
+                                 identity=Mat.identity(n))
+    if status != "finite":
+        raise GroupInfinite(word)
+    return FiniteGroupClosure(n, generators, witness)
 
 
 def short_product(H: FiniteGroupClosure, target: Mat) -> Word:
@@ -101,14 +80,6 @@ def short_product(H: FiniteGroupClosure, target: Mat) -> Word:
     if target not in H.witness:
         raise NotMember("target is not in the closure")
     return H.witness[target]
-
-
-@dataclass(frozen=True)
-class IntegerLatticeBasis:
-    """Row-style HNF basis: pivots positive, upper echelon, entries above
-    each pivot reduced into [0, pivot)."""
-
-    basis: Mat
 
 
 def _hnf_rows(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
@@ -149,9 +120,10 @@ def _hnf_rows(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
     return result
 
 
-def hnf(B) -> IntegerLatticeBasis:
-    """HNF basis of the row lattice of B (integer entries; rows may exceed
-    columns and may be dependent)."""
+def hnf(B) -> Mat:
+    """Row-style HNF basis of the row lattice of B (integer entries; rows
+    may exceed columns and may be dependent): pivots positive, upper
+    echelon, entries above each pivot reduced into [0, pivot)."""
     if isinstance(B, Mat):
         if not B.is_integral():
             raise ValueError("HNF needs integer entries")
@@ -162,7 +134,7 @@ def hnf(B) -> IntegerLatticeBasis:
         if not rows:
             raise ValueError("HNF of an empty row list is ambiguous; pass a Mat")
         ncols = len(rows[0])
-    return IntegerLatticeBasis(Mat(_hnf_rows(rows, ncols), cols=ncols))
+    return Mat(_hnf_rows(rows, ncols), cols=ncols)
 
 
 def integerize(G: FiniteGroupClosure, verify: bool = True) -> Mat:
@@ -174,18 +146,18 @@ def integerize(G: FiniteGroupClosure, verify: bool = True) -> Mat:
     are re-reduced per element to keep integers small.
     """
     n = G.n
-    d = math.lcm(*(m.den for m in G.elements.values()))
+    d = math.lcm(*(m.den for m in G.witness))
     rows: list[list[int]] = []
-    for m in G.elements.values():
+    for m in G.witness:
         rows.extend([x * (d // m.den) for x in r] for r in m.int_rows())
         rows = _hnf_rows(rows, n)
     if len(rows) != n:
-        raise GroupNotFinite("invariant lattice does not have full rank")
+        raise GroupInfinite(None)
     C = Fraction(1, d) * Mat(rows, cols=n)
     if verify:
         Cinv = inverse(C)
-        for m in G.elements.values():
+        for m in G.witness:
             conj = C * m * Cinv
             if not conj.is_integral() or abs(det(conj)) != 1:
-                raise GroupNotFinite("conjugation failed integrality check")
+                raise GroupInfinite(None)
     return C

@@ -200,16 +200,8 @@ class Mat:
             self._hash = hash((self.rows, self.cols, self.den, self.num))
         return self._hash
 
-    def key(self) -> "Mat":
-        """The matrix itself: equal keys iff equal matrices."""
-        return self
-
     def __repr__(self):
         return f"Mat({[[str(x) for x in r] for r in self.data]})"
-
-
-def canonical_key(A: Mat) -> Mat:
-    return A.key()
 
 
 def stack(A: Mat, B: Mat) -> Mat:

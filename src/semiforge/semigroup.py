@@ -62,23 +62,63 @@ class MorphismTable:
 @dataclass
 class ClosureResult:
     """The set M(Sigma+) with a shortest (lex-least among those) witness
-    word per element. `status` is "finite" or "exceeded_cap"."""
+    word per element, in BFS order. `status` is "finite" or
+    "exceeded_cap"."""
 
     n: int
-    elements: dict[Mat, Mat]
     witness: dict[Mat, Word]
     status: str
     cap: int
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.witness)
 
     def contains(self, A: Mat) -> bool:
-        return A in self.elements
+        return A in self.witness
 
     @property
     def identity_expressible(self) -> bool:
-        return Mat.identity(self.n) in self.elements
+        return Mat.identity(self.n) in self.witness
+
+
+def _bfs(letters, cap: int, torsion: bool, identity: Mat | None = None):
+    """Closure by word length under right multiplication by `letters`
+    (label, matrix) pairs, keeping the first (so shortest, lex-least)
+    word that reaches each element.
+
+    Without `identity` the closure is the semigroup: its first layer is
+    the generators themselves. With it, the closure is the monoid, and
+    `identity` is stored with the empty word. The cap is checked before
+    each insertion; with `torsion`, each admitted element is tested by
+    `is_torsion`. Returns the store (in insertion order), a status
+    ("finite", "exceeded_cap" or "infinite") and, unless finite, the word
+    that hit the cap or names a non-torsion element.
+    """
+    store: dict[Mat, Word] = {}
+    if identity is not None:
+        store[identity] = ()
+    frontier = [identity]  # None stands for the empty product
+    while frontier:
+        fresh = []
+        for m in frontier:
+            w = () if m is None else store[m]
+            for a, g in letters:
+                p = g if m is None else m * g
+                if p in store:
+                    continue
+                u = w + (a,)
+                if len(store) >= cap:
+                    return store, "exceeded_cap", u
+                store[p] = u
+                if torsion and not is_torsion(p):
+                    return store, "infinite", u
+                fresh.append(p)
+        frontier = fresh
+    return store, "finite", None
+
+
+def _letters(table: MorphismTable) -> list:
+    return [(a, table.mapping[a]) for a in table.alphabet]
 
 
 def closure(table: MorphismTable, cap: int | None = None) -> ClosureResult:
@@ -86,35 +126,8 @@ def closure(table: MorphismTable, cap: int | None = None) -> ClosureResult:
     cap = default_cap() if cap is None else cap
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    elements: dict[Mat, Mat] = {}
-    witness: dict[Mat, Word] = {}
-
-    def exceeded():
-        return ClosureResult(table.n, elements, witness, "exceeded_cap", cap)
-
-    frontier = []
-    for a in table.alphabet:
-        m = table.mapping[a]
-        if m not in elements:
-            if len(elements) >= cap:
-                return exceeded()
-            elements[m] = m
-            witness[m] = (a,)
-            frontier.append(m)
-    while frontier:
-        fresh = []
-        for m in frontier:
-            w = witness[m]
-            for a in table.alphabet:
-                p = m * table.mapping[a]
-                if p not in elements:
-                    if len(elements) >= cap:
-                        return exceeded()
-                    elements[p] = p
-                    witness[p] = w + (a,)
-                    fresh.append(p)
-        frontier = fresh
-    return ClosureResult(table.n, elements, witness, "finite", cap)
+    witness, status, _ = _bfs(_letters(table), cap, torsion=False)
+    return ClosureResult(table.n, witness, status, cap)
 
 
 def _totient(k: int) -> int:
@@ -170,41 +183,12 @@ def decide_finiteness(table: MorphismTable, cap: int | None = None) -> Finitenes
     safety net that yields "exceeded_cap" without a verdict.
     """
     cap = default_cap() if cap is None else cap
-    elements: dict[Mat, Mat] = {}
-    witness: dict[Mat, Word] = {}
-    frontier = []
-
-    def admit(m: Mat, w: Word):
-        if m in elements:
-            return None
-        if len(elements) >= cap:
-            return "cap"
-        elements[m] = m
-        witness[m] = w
-        frontier.append(m)
-        if not is_torsion(m):
-            return "infinite"
-        return None
-
-    for a in table.alphabet:
-        verdict = admit(table.mapping[a], (a,))
-        if verdict == "infinite":
-            return FinitenessResult("infinite", witness=witness[table.mapping[a]])
-        if verdict == "cap":
-            return FinitenessResult("exceeded_cap")
-    while frontier:
-        current, frontier = frontier, []
-        for m in current:
-            w = witness[m]
-            for a in table.alphabet:
-                p = m * table.mapping[a]
-                verdict = admit(p, w + (a,))
-                if verdict == "infinite":
-                    return FinitenessResult("infinite", witness=w + (a,))
-                if verdict == "cap":
-                    return FinitenessResult("exceeded_cap")
-    result = ClosureResult(table.n, elements, witness, "finite", cap)
-    return FinitenessResult("finite", closure=result)
+    witness, status, word = _bfs(_letters(table), cap, torsion=True)
+    if status == "infinite":
+        return FinitenessResult("infinite", witness=word)
+    if status == "exceeded_cap":
+        return FinitenessResult("exceeded_cap")
+    return FinitenessResult("finite", closure=ClosureResult(table.n, witness, "finite", cap))
 
 
 def g_upper_bound(n: int) -> int:

@@ -2,9 +2,11 @@
 
 The oracles deliberately avoid the library's own algorithms: closure by
 set fixed-point instead of BFS with witnesses, torsion by power
-iteration instead of the minimal polynomial, subspace intersection by a
-stacked-basis rank computation instead of wedge products, and graph
-distances by a plain dictionary BFS.
+iteration instead of the minimal polynomial, and graph distances by a
+plain dictionary BFS. Subspace intersection is the exception: the
+library tests it by the rank of the stacked bases, as the oracle here
+does, so the tests also compare it with the wedge-product embedding of
+`semiforge.exterior`.
 """
 
 import itertools
@@ -46,20 +48,19 @@ def all_words(alphabet, max_len, min_len=1):
 # ---------------------------------------------------------------- oracles
 
 def brute_closure(mats, cap=100000):
-    """Semigroup closure as a set fixed point; returns a set of matrix
-    keys, or None when the cap is exceeded."""
-    current = {m.key(): m for m in mats}
+    """Semigroup closure as a set fixed point; returns the set of
+    matrices, or None when the cap is exceeded."""
+    current = set(mats)
     while True:
-        fresh = {}
-        for m in current.values():
+        fresh = set()
+        for m in current:
             for g in mats:
                 p = m * g
-                k = p.key()
-                if k not in current and k not in fresh:
-                    fresh[k] = p
+                if p not in current:
+                    fresh.add(p)
         if not fresh:
-            return set(current)
-        current.update(fresh)
+            return current
+        current |= fresh
         if len(current) > cap:
             return None
 
@@ -67,14 +68,13 @@ def brute_closure(mats, cap=100000):
 def power_iteration_torsion(A, budget=300):
     """Torsion check by storing powers until one repeats. Only valid on
     matrices whose eventual period is known to fit in the budget."""
-    seen = {A.key()}
+    seen = {A}
     power = A
     for _ in range(budget):
         power = power * A
-        k = power.key()
-        if k in seen:
+        if power in seen:
             return True
-        seen.add(k)
+        seen.add(power)
     return False
 
 

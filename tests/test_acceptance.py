@@ -6,18 +6,20 @@ checklist. The heavyweight exhaustive sweep is computed once and shared
 by the two criteria that consume it.
 """
 
+import importlib.util
 import itertools
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from semiforge import (CycleFrame, Mat, MorphismTable, Shortener,
-                       WeightedAutomaton, build_image_graph, closure,
-                       cycle_rep, decide_finiteness, decide_wa_finiteness,
+from semiforge import (CycleFrame, Mat, WeightedAutomaton, build_image_graph,
+                       closure, cycle_rep, decide_wa_finiteness,
                        evaluate, group_closure, integerize, inverse, is_torsion,
                        length_bound, minimize, rank, rho)
 from semiforge.cli import main as cli_main
@@ -60,76 +62,39 @@ def test_criterion_1_nilpotent_family(capsys):
 
 # -------------------------------------------------- criteria 2 and 3 (sweep)
 
-class SweepStats:
-    def __init__(self):
-        self.tables = 0
-        self.words = 0
-        self.failures = 0
-        self.group_checks = 0
-        self.group_violations = 0
-        self.max_output_length = 0
-        self.elapsed = 0.0
-
-
 @pytest.fixture(scope="module")
 def sweep():
     """Exhaustive n = 2 shortener sweep: every morphism table with at most
     two generators and entries in {0, 1, -1} whose closure is finite with
     at most 60 elements, and every word of length at most 8."""
-    start = time.monotonic()
-    stats = SweepStats()
-    values = [F(0), F(1), F(-1)]
-    mats = [Mat([row[:2], row[2:]])
-            for row in itertools.product(values, repeat=4)]
-    tables = [MorphismTable(2, ("a",), {"a": m}) for m in mats]
-    tables += [MorphismTable(2, ("a", "b"), {"a": m1, "b": m2})
-               for m1, m2 in itertools.combinations(mats, 2)]
+    path = Path(__file__).resolve().parents[1] / "scripts" / "sweep_shortener.py"
+    spec = importlib.util.spec_from_file_location("sweep_shortener", path)
+    script = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = script
+    spec.loader.exec_module(script)
+    return script.run_sweep(script.SweepConfig())
 
-    for table in tables:
-        verdict = decide_finiteness(table, 61)
-        if verdict.status != "finite" or len(verdict.closure) > 60:
-            continue
-        stats.tables += 1
-        shortener = Shortener(table, assume_finite=True)
-        group_order = None
-        if all(det(table.mapping[a]) != 0 for a in table.alphabet):
-            group_order = group_closure(table.mapping).order
-        best = {}
-        for word in all_words(table.alphabet, 8):
-            value = table.evaluate(word)
-            k = value.key()
-            u = best.get(k)
-            if u is None or len(u) > len(word):
-                u = shortener.shorten(word)
-                if table.evaluate(u) != value:
-                    stats.failures += 1
-                best[k] = u
-            if len(u) > len(word):
-                stats.failures += 1
-            stats.max_output_length = max(stats.max_output_length, len(u))
-            stats.words += 1
-            if group_order is not None:
-                stats.group_checks += 1
-                if len(u) > group_order - 1:
-                    stats.group_violations += 1
-    stats.elapsed = time.monotonic() - start
-    return stats
+
+def _sweep_measured(sweep):
+    return f"{sweep['seconds']} s, {sweep['finite']} tables, {sweep['words']} words"
 
 
 def test_criterion_2_shortener_sweep(capsys, sweep):
-    with _report(capsys, "criterion 2: exhaustive n=2 shortener sweep, zero failures, < 10 min"):
-        assert sweep.tables > 1000
-        assert sweep.words > 400000
-        assert sweep.failures == 0
-        assert sweep.elapsed < 600.0
+    with _report(capsys, "criterion 2: exhaustive n=2 shortener sweep, zero failures, < 10 min"
+                 f" ({_sweep_measured(sweep)})"):
+        assert sweep["finite"] > 1000
+        assert sweep["words"] > 400000
+        assert sweep["failures"] == 0
+        assert sweep["seconds"] < 600.0
 
 
 def test_criterion_3_bound_compliance(capsys, sweep):
-    with _report(capsys, "criterion 3: outputs within the length and group-order bounds"):
-        assert sweep.max_output_length <= 8  # never longer than the input
-        assert sweep.max_output_length <= length_bound(2).length_bound
-        assert sweep.group_checks > 0
-        assert sweep.group_violations == 0
+    with _report(capsys, "criterion 3: outputs within the length and group-order bounds"
+                 f" ({_sweep_measured(sweep)})"):
+        assert sweep["max_output"] <= 8  # never longer than the input
+        assert sweep["max_output"] <= length_bound(2).length_bound
+        assert sweep["group_checks"] > 0
+        assert sweep["group_violations"] == 0
 
 
 # ------------------------------------------------------------ criterion 4
@@ -263,7 +228,7 @@ def test_criterion_5_integerization(capsys):
             H = group_closure(conjugated)
             C = integerize(H, verify=False)
             Cinv = inverse(C)
-            for m in H.elements.values():
+            for m in H.witness:
                 image_m = C * m * Cinv
                 assert image_m.is_integral()
                 assert abs(det(image_m)) == 1
@@ -337,19 +302,21 @@ def test_criterion_6_torsion_oracle(capsys):
 # ------------------------------------------------------------ criterion 7
 
 def test_criterion_7_exterior_equivalence(capsys):
-    with _report(capsys, "criterion 7: wedge intersection test matches the rank oracle exhaustively (n=3)"):
-        from semiforge import Subspace, trivial_intersection
+    with _report(capsys, "criterion 7: intersection test matches the rank and wedge oracles exhaustively (n=3)"):
+        from semiforge import Subspace, iota, trivial_intersection, wedge
         vectors = [v for v in itertools.product((0, 1), repeat=3) if any(v)]
         spaces = {}
         for r in range(len(vectors) + 1):
             for subset in itertools.combinations(vectors, r):
                 w = Subspace.from_rows(3, subset)
-                spaces.setdefault(w.basis.key(), w)
+                spaces.setdefault(w.basis, w)
         spaces = list(spaces.values())
         pairs = 0
         for w1 in spaces:
             for w2 in spaces:
-                assert trivial_intersection(w1, w2) == rank_oracle_trivial(w1, w2)
+                got = trivial_intersection(w1, w2)
+                assert got == rank_oracle_trivial(w1, w2)
+                assert got == (not wedge(iota(w1), iota(w2)).is_zero)
                 pairs += 1
         assert pairs == len(spaces) ** 2
 

@@ -1,8 +1,13 @@
 import json
+import time
+from pathlib import Path
 
 import pytest
 
+from semiforge import size_bound
 from semiforge.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -217,6 +222,38 @@ class TestDocumentedExitCodes:
         assert main(["vass-reach", str(path), "--from", "q:0", "--to", "q:3",
                      "--budget", "-1"]) == 1
         assert "--budget must be at least 0" in capsys.readouterr().err
+
+    def test_mixed_rank_image_graph_is_exit_1(self, capsys):
+        assert main(["image-graph", str(GOLDEN / "mixed_rank3_rational.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("command, name", [("wa-finite", "automaton_rational.json"),
+                                               ("vass-fmp", "vass_finite.json")])
+    def test_exceeded_cap_reports_the_cap(self, capsys, command, name):
+        code, out = run(capsys, command, str(GOLDEN / name), "--cap", "1")
+        assert code == 2
+        assert out == {"status": "exceeded_cap", "cap": 1}
+
+
+class TestSizeBoundText:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_past_the_digit_limit_is_the_closed_form(self, capsys, n):
+        start = time.monotonic()
+        code, out = run(capsys, "bound", "--n", str(n), "--m", "2")
+        assert time.monotonic() - start < 1.0
+        assert code == 0
+        L = out["length_bound"]
+        assert out["size_bound"] == f"(2^({L}+1) - 2)/(2 - 1)"
+
+    def test_exact_up_to_4300_digits(self, capsys):
+        # the largest m whose size bound at n = 1 (L = 128) has 4300 digits
+        m = 3924189758484535861666412940601374
+        _, out = run(capsys, "bound", "--n", "1", "--m", str(m))
+        assert len(out["size_bound"]) == 4300
+        assert out["size_bound"] == str(size_bound(1, m))
+        _, out = run(capsys, "bound", "--n", "1", "--m", str(m + 1))
+        assert out["size_bound"] == f"({m + 1}^(128+1) - {m + 1})/({m + 1} - 1)"
 
 
 class TestVassEntriesMustBeIntegers:

@@ -82,7 +82,7 @@ def _all_01_subspaces(n):
     for r in range(len(vectors) + 1):
         for subset in itertools.combinations(vectors, r):
             w = Subspace.from_rows(n, subset)
-            seen.setdefault(w.basis.key(), w)
+            seen.setdefault(w.basis, w)
     return list(seen.values())
 
 
@@ -91,4 +91,6 @@ def test_trivial_intersection_matches_rank_oracle(n):
     spaces = _all_01_subspaces(n)
     for w1 in spaces:
         for w2 in spaces:
-            assert trivial_intersection(w1, w2) == rank_oracle_trivial(w1, w2)
+            got = trivial_intersection(w1, w2)
+            assert got == rank_oracle_trivial(w1, w2)
+            assert got == (not wedge(iota(w1), iota(w2)).is_zero)

@@ -18,7 +18,7 @@ class TestGroupClosure:
         H = group_closure([ROT90])
         assert H.order == 4
         assert H.contains(Mat.identity(2))
-        assert H.witness[Mat.identity(2).key()] == ()
+        assert H.witness[Mat.identity(2)] == ()
 
     def test_signed_permutation_groups(self):
         assert group_closure(signed_perm_generators(2)).order == 8
@@ -46,7 +46,7 @@ class TestGroupClosure:
 class TestShortProduct:
     def test_lengths_within_order(self):
         H = group_closure(signed_perm_generators(3))
-        for k, m in H.elements.items():
+        for m in H.witness:
             w = short_product(H, m)
             assert len(w) <= H.order - 1
             assert H.generators and all(a in H.generators for a in w)
@@ -60,11 +60,11 @@ class TestShortProduct:
 
 class TestHnf:
     def test_known_example(self):
-        assert hnf(mat([[2, 0], [0, 2], [1, 1]])).basis == mat([[1, 1], [0, 2]])
+        assert hnf(mat([[2, 0], [0, 2], [1, 1]])) == mat([[1, 1], [0, 2]])
 
     def test_diagonal_and_empty(self):
-        assert hnf(mat([[0, 3], [7, 0]])).basis == mat([[7, 0], [0, 3]])
-        assert hnf(Mat.zeros(2, 2)).basis.rows == 0
+        assert hnf(mat([[0, 3], [7, 0]])) == mat([[7, 0], [0, 3]])
+        assert hnf(Mat.zeros(2, 2)).rows == 0
         with pytest.raises(ValueError):
             hnf([])
         with pytest.raises(ValueError):
@@ -99,7 +99,7 @@ class TestHnf:
             nrows = rng.randint(1, 4)
             ncols = rng.randint(1, 4)
             rows = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(nrows)]
-            H = hnf(Mat(rows, cols=ncols)).basis
+            H = hnf(Mat(rows, cols=ncols))
             self._assert_shape(H)
             for r in rows:
                 assert self._member(H, r)
@@ -107,7 +107,7 @@ class TestHnf:
             shuffled = rows[::-1] + [[-x for x in rows[0]]]
             if nrows >= 2:
                 shuffled.append([a + 3 * b for a, b in zip(rows[0], rows[1])])
-            assert hnf(Mat(shuffled, cols=ncols)).basis == H
+            assert hnf(Mat(shuffled, cols=ncols)) == H
 
     def test_square_pivot_product_is_abs_det(self):
         rng = random.Random(11)
@@ -115,7 +115,7 @@ class TestHnf:
             n = rng.randint(1, 4)
             m = Mat([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
             d = det(m)
-            H = hnf(m).basis
+            H = hnf(m)
             if d == 0:
                 assert H.rows < n
             else:
@@ -136,7 +136,7 @@ class TestIntegerize:
         g = inverse(T) * ROT90 * T
         H = group_closure([g])
         C = integerize(H)
-        for m in H.elements.values():
+        for m in H.witness:
             conj = C * m * inverse(C)
             assert conj.is_integral() and abs(det(conj)) == 1
 
@@ -152,6 +152,6 @@ class TestIntegerize:
             H = group_closure([g])
             C = integerize(H, verify=True)
             Cinv = inverse(C)
-            for m in H.elements.values():
+            for m in H.witness:
                 conj = C * m * Cinv
                 assert conj.is_integral() and abs(det(conj)) == 1

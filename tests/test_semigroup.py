@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,15 +32,15 @@ class TestClosure:
         result = closure(t)
         assert shortest_word_for(result, Mat.identity(2)) == ("b",)
         assert shortest_word_for(result, ROT90 * ROT90) == ("a", "a")
-        for k, w in result.witness.items():
-            assert t.evaluate(w) == result.elements[k]
+        for m, w in result.witness.items():
+            assert t.evaluate(w) == m
 
     def test_matches_brute_force(self):
         for mats in ([ROT90], [PROJ_X, PROJ_Y], [ROT90, PROJ_X],
                      [mat([[1, 1], [0, 0]]), mat([[0, 0], [1, 1]])]):
             got = closure(table_from(mats))
             assert got.status == "finite"
-            assert set(got.elements) == brute_closure(mats)
+            assert set(got.witness) == brute_closure(mats)
 
     def test_cap(self):
         t = table_from([mat([[2]])])
@@ -133,6 +134,34 @@ class TestDecideFiniteness:
         # torsion-free products appear late; with a tiny cap we get no verdict
         t = table_from([ROT90, PROJ_X])
         assert decide_finiteness(t, cap=2).status == "exceeded_cap"
+
+
+def _mostly_monomial_row(rng, n):
+    """A signed unit row or zero, or now and then any {0, 1, -1} row, so
+    that most tables are finite and some are not."""
+    if rng.random() < 0.1:
+        return [rng.choice((0, 1, -1)) for _ in range(n)]
+    row = [0] * n
+    row[rng.randrange(n)] = rng.choice((0, 1, -1))
+    return row
+
+
+def test_decide_finiteness_closure_matches_closure():
+    rng = random.Random(5)
+    finite = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        mats = [Mat([_mostly_monomial_row(rng, n) for _ in range(n)])
+                for _ in range(rng.randint(1, 3))]
+        t = table_from(mats)
+        verdict = decide_finiteness(t, cap=500)
+        if verdict.status != "finite":
+            continue
+        finite += 1
+        expected = closure(t)
+        assert list(verdict.closure.witness.items()) == list(expected.witness.items())
+        assert set(verdict.closure.witness) == brute_closure(mats)
+    assert finite >= 30
 
 
 class TestBounds:
