@@ -2,7 +2,7 @@
 """Print the length bound for a range of dimensions.
 
 The numbers grow fast (the size bound m^(L+1) stops being materializable
-past n = 1), so large values are summarized by their digit count.
+past n = 1), so large values are summarized by their bit length.
 Everything is exact integer arithmetic; no float ever sneaks in.
 """
 
@@ -13,10 +13,8 @@ from semiforge.semigroup import g_signed_permutations
 
 
 def show(value, cutoff=30):
-    text = str(value)
-    if len(text) <= cutoff:
-        return text
-    return f"~10^{len(text) - 1} ({text[:8]}...)"
+    # str() refuses integers past 4300 digits, reached at n = 35
+    return str(value) if value < 10 ** cutoff else f"~2^{value.bit_length() - 1}"
 
 
 def main():

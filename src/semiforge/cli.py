@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
-from .grouplat import GroupInfinite, group_closure, integerize
+from .grouplat import GroupInfinite, NonInvertibleGenerator, group_closure, integerize
 from .imagegraph import MixedRankGenerators, build_image_graph, to_dot
 from .linalg import inverse
 from .semigroup import (CapExceeded, closure, decide_finiteness, default_cap,
-                        length_bound, size_bound)
-from .serialize import (ParseError, automaton_from_json, frac_to_str,
-                        generators_from_json, matrix_to_json, parse_word,
-                        vass_from_json, word_to_str)
+                        g_upper_bound, length_bound, size_bound)
+from .serialize import (ParseError, automaton_from_json, generators_from_json,
+                        matrix_to_json, parse_word, vass_from_json, word_to_str)
 from .shortener import InfiniteSemigroup, shorten
 from .vass import Configuration, check_fmp, reach_bounded
 from .wautomata import decide_wa_finiteness
@@ -39,6 +39,8 @@ def _load_json(path: str):
         raise CliError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except ValueError as exc:  # not UTF-8, or an integer past the digit limit
+        raise CliError(f"{path}: {exc}")
 
 
 def _at_least(value, flag: str, minimum: int):
@@ -48,13 +50,23 @@ def _at_least(value, flag: str, minimum: int):
     return value
 
 
+def _cap(value) -> int:
+    """--cap when given, else SEMIFORGE_CAP or the default; at least 1."""
+    if value is not None:
+        return _at_least(value, "--cap", 1)
+    try:
+        return _at_least(default_cap(), "SEMIFORGE_CAP", 1)
+    except ValueError:
+        raise CliError(f"SEMIFORGE_CAP must be an integer, got {os.environ['SEMIFORGE_CAP']!r}")
+
+
 def _witness_listing(result) -> list:
     return [{"word": word_to_str(w), "matrix": matrix_to_json(m)}
             for m, w in result.witness.items()]
 
 
 def _exceeded(cap) -> tuple[int, dict]:
-    return 2, {"status": "exceeded_cap", "cap": cap or default_cap()}
+    return 2, {"status": "exceeded_cap", "cap": cap}
 
 
 def _verdict(verdict, cap) -> tuple[int, dict]:
@@ -68,7 +80,7 @@ def _verdict(verdict, cap) -> tuple[int, dict]:
 
 
 def cmd_finiteness(args) -> tuple[int, dict]:
-    cap = _at_least(args.cap, "--cap", 1)
+    cap = _cap(args.cap)
     table = generators_from_json(_load_json(args.input))
     verdict = decide_finiteness(table, cap)
     code, out = _verdict(verdict, cap)
@@ -80,11 +92,11 @@ def cmd_finiteness(args) -> tuple[int, dict]:
 
 
 def cmd_closure(args) -> tuple[int, dict]:
-    cap = _at_least(args.cap, "--cap", 1)
+    cap = _cap(args.cap)
     table = generators_from_json(_load_json(args.input))
     result = closure(table, cap)
     if result.status == "exceeded_cap":
-        return 2, {"status": "exceeded_cap", "cap": result.cap}
+        return _exceeded(cap)
     return 0, {"status": "finite", "count": len(result),
                "identity_expressible": result.identity_expressible,
                "elements": _witness_listing(result)}
@@ -94,7 +106,7 @@ def cmd_shorten(args) -> tuple[int, dict]:
     path = args.input or args.generators
     if path is None or (args.input and args.generators):
         raise CliError("give the generators file once (positionally or via --generators)")
-    cap = _at_least(args.cap, "--cap", 1)
+    cap = _cap(args.cap)
     table = generators_from_json(_load_json(path))
     word = parse_word(args.word, table.alphabet)
     try:
@@ -108,37 +120,42 @@ def cmd_shorten(args) -> tuple[int, dict]:
     return 0, {"input_length": len(word),
                "output_word": word_to_str(u),
                "output_length": len(u),
-               "bound": str(length_bound(table.n).length_bound),
+               "bound": _bound_fields(table.n)["length_bound"],
                "verified": verified}
 
 
 # Python's default int -> str limit is 4300 digits
 _DECIMAL_LIMIT = 10 ** 4300
+_LIMIT_BITS = _DECIMAL_LIMIT.bit_length()
 
 
-def _size_bound_text(n: int, m: int) -> str:
-    """size_bound(n, m) in decimal when it has at most 4300 digits, else
-    the exact closed form. The bound is at least m^L >= 2^(L*(bits(m)-1)),
-    so past the limit it is never built; below it, it has at most about
-    29k bits."""
-    L = length_bound(n).length_bound
-    if L * (m.bit_length() - 1) < _DECIMAL_LIMIT.bit_length():
-        value = size_bound(n, m)
-        if value < _DECIMAL_LIMIT:
-            return str(value)
-    return f"({m}^({L}+1) - {m})/({m} - 1)"
+def _decimal(value: int | None, closed_form: str) -> str:
+    return closed_form if value is None or value >= _DECIMAL_LIMIT else str(value)
+
+
+def _bound_fields(n: int, m: int | None = None) -> dict:
+    """The bounds in decimal while they have at most 4300 digits, else as
+    exact closed forms. A bound is built only when a lower bound on its bit
+    length ((2n)! >= n^n, L >= 2^(n(2n+3)), size >= m^L >= 2^(L*(bits(m)-1)))
+    is below the limit, so a built bound has at most about 100k bits."""
+    K, E, P = 2 * n, n * (2 * n + 3), n + 1
+    g = g_upper_bound(n) if n * (n.bit_length() - 1) < _LIMIT_BITS else None
+    L = length_bound(n).length_bound if E < _LIMIT_BITS else None
+    out = {"g_upper": _decimal(g, f"({K})!"),
+           "length_bound": _decimal(L, f"2^({E})*({K}!)^({P})")}
+    if m is not None:
+        small = L is not None and L * (m.bit_length() - 1) < _LIMIT_BITS
+        Lt = out["length_bound"]
+        out["m"] = m
+        out["size_bound"] = _decimal(size_bound(n, m) if small else None,
+                                     Lt if m == 1 else f"({m}^({Lt}+1) - {m})/({m} - 1)")
+    return out
 
 
 def cmd_bound(args) -> tuple[int, dict]:
     _at_least(args.n, "--n", 1)
     _at_least(args.m, "--m", 1)
-    report = length_bound(args.n)
-    out = {"n": args.n, "g_upper": str(report.g_upper),
-           "length_bound": str(report.length_bound)}
-    if args.m is not None:
-        out["m"] = args.m
-        out["size_bound"] = _size_bound_text(args.n, args.m)
-    return 0, out
+    return 0, {"n": args.n, **_bound_fields(args.n, args.m)}
 
 
 def cmd_integerize(args) -> tuple[int, dict]:
@@ -161,7 +178,7 @@ def cmd_image_graph(args) -> tuple[int, dict]:
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(to_dot(G))
-    vertices = [{"basis": [[frac_to_str(x) for x in row] for row in v.basis.data],
+    vertices = [{"basis": matrix_to_json(v.basis)["entries"],
                  "scc": G.scc_id[v]} for v in G.vertices]
     names = {v: i for i, v in enumerate(G.vertices)}
     edges = [{"from": names[v], "letter": a, "to": names[w]}
@@ -171,13 +188,13 @@ def cmd_image_graph(args) -> tuple[int, dict]:
 
 
 def cmd_wa_finite(args) -> tuple[int, dict]:
-    cap = _at_least(args.cap, "--cap", 1)
+    cap = _cap(args.cap)
     A = automaton_from_json(_load_json(args.input))
     return _verdict(decide_wa_finiteness(A, cap), cap)
 
 
 def cmd_vass_fmp(args) -> tuple[int, dict]:
-    cap = _at_least(args.cap, "--cap", 1)
+    cap = _cap(args.cap)
     V = vass_from_json(_load_json(args.input))
     return _verdict(check_fmp(V, cap), cap)
 
@@ -270,7 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, result = args.handler(args)
-    except (CliError, ParseError, MixedRankGenerators) as exc:
+    except (CliError, ParseError, MixedRankGenerators, NonInvertibleGenerator) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "code", 1)
     text = json.dumps(result, indent=2)

@@ -120,21 +120,13 @@ def _hnf_rows(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
     return result
 
 
-def hnf(B) -> Mat:
-    """Row-style HNF basis of the row lattice of B (integer entries; rows
+def hnf(B: Mat) -> Mat:
+    """Row-style HNF basis of the row lattice of the integral matrix B (rows
     may exceed columns and may be dependent): pivots positive, upper
     echelon, entries above each pivot reduced into [0, pivot)."""
-    if isinstance(B, Mat):
-        if not B.is_integral():
-            raise ValueError("HNF needs integer entries")
-        rows = B.int_rows()
-        ncols = B.cols
-    else:
-        rows = [list(map(int, r)) for r in B]
-        if not rows:
-            raise ValueError("HNF of an empty row list is ambiguous; pass a Mat")
-        ncols = len(rows[0])
-    return Mat(_hnf_rows(rows, ncols), cols=ncols)
+    if not isinstance(B, Mat) or not B.is_integral():
+        raise ValueError("HNF needs a Mat with integer entries")
+    return Mat(_hnf_rows(B.int_rows(), B.cols), cols=B.cols)
 
 
 def integerize(G: FiniteGroupClosure, verify: bool = True) -> Mat:

@@ -66,13 +66,14 @@ class Mat:
     `num` holds the row-major integer numerators and `den` their common
     positive denominator, with gcd(den, *num) == 1 (so den == 1 exactly
     for integral matrices). `data` is the same matrix as rows of
-    Fractions, built on first read and then kept.
+    Fractions, rebuilt on each read: it is for output and tests, and
+    nothing in the package computes on it.
 
     Zero-row and zero-column matrices are allowed; pass `cols` explicitly
     when there are no rows.
     """
 
-    __slots__ = ("rows", "cols", "num", "den", "_hash", "data")
+    __slots__ = ("rows", "cols", "num", "den", "_hash")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
         grid = [tuple(row) for row in data]
@@ -112,34 +113,16 @@ class Mat:
         entries = tuple(entries)
         return cls((entries,), cols=len(entries))
 
-    def __getattr__(self, name: str):
-        # reached only while a slot is unset; `data` is filled on first read,
-        # so later reads are plain slot reads (hot loops index it per entry)
-        if name != "data":
-            raise AttributeError(f"'Mat' object has no attribute {name!r}")
+    @property
+    def data(self) -> tuple:
         den, c = self.den, self.cols
-        if den == 1:
-            flat = [Fraction(x) for x in self.num]
-        else:
-            flat = [Fraction(x, den) for x in self.num]
-        if c:
-            self.data = tuple(tuple(flat[i:i + c]) for i in range(0, len(flat), c))
-        else:
-            self.data = ((),) * self.rows
-        return self.data
+        flat = [Fraction(x, den) for x in self.num]
+        return tuple(tuple(flat[i * c:(i + 1) * c]) for i in range(self.rows))
 
     def int_rows(self) -> list[list[int]]:
         """Rows of numerators (the matrix times its denominator), as fresh lists."""
         num, c = self.num, self.cols
-        if not c:
-            return [[] for _ in range(self.rows)]
-        return [list(num[i:i + c]) for i in range(0, len(num), c)]
-
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.data)
+        return [list(num[i * c:(i + 1) * c]) for i in range(self.rows)]
 
     def transpose(self) -> "Mat":
         num, c = self.num, self.cols
@@ -297,7 +280,7 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows: Iterable[Iterable]) -> "Subspace":
-        return _span(Mat(rows, cols=ambient_dim))
+        return image(Mat(rows, cols=ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -305,41 +288,26 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return _span(Mat.identity(ambient_dim))
+        return image(Mat.identity(ambient_dim))
 
     @property
     def dim(self) -> int:
         return self.basis.rows
 
-    def _numerators(self, v: Sequence) -> list[int]:
-        """v scaled to integers (by a positive factor)."""
-        v = [_frac(x) for x in v]
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector has wrong length")
-        d = lcm(*(x.denominator for x in v))
-        return [x.numerator * (d // x.denominator) for x in v]
-
-    def _spans(self, w: list[int]) -> bool:
-        # with unit pivots, v lies in the space iff v == sum of v[p] * row_p;
-        # times the basis denominator that is an identity of integers
-        B, n = self.basis, self.ambient_dim
-        rebuilt = [0] * n
-        for i, p in enumerate(self.pivots):
-            c = w[p]
-            if c:
-                row = B.num[i * n:(i + 1) * n]
-                rebuilt = [x + c * y for x, y in zip(rebuilt, row)]
-        den = B.den
-        return all(x == den * y for x, y in zip(rebuilt, w))
+    def coordinates(self, M: Mat) -> Mat:
+        """The matrix C with C * basis == M: the coordinates of the rows of M
+        in the RREF basis. Raises LinAlgError if a row of M is outside."""
+        C = _pivot_read(self, M)
+        if C is None:
+            raise LinAlgError("vector not in subspace")
+        return C
 
     def contains(self, v: Sequence) -> bool:
-        return self._spans(self._numerators(v))
+        return _pivot_read(self, Mat.row_vector(v)) is not None
 
     def coords(self, v: Sequence) -> tuple:
         """Coefficients of v in the RREF basis; raises if v is outside."""
-        if not self._spans(self._numerators(v)):
-            raise LinAlgError("vector not in subspace")
-        return tuple(_frac(v[p]) for p in self.pivots)
+        return self.coordinates(Mat.row_vector(v)).data[0]
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -355,17 +323,24 @@ class Subspace:
         return f"Subspace(dim={self.dim} of Q^{self.ambient_dim})"
 
 
-def _span(A: Mat) -> Subspace:
-    """Row space of A as a Subspace."""
-    res = rref(A)
-    R = res.matrix
-    basis = _mat(res.rank, A.cols, R.num[:res.rank * A.cols], R.den)
-    return Subspace(A.cols, basis, res.pivots)
+def _pivot_read(space: Subspace, M: Mat) -> Mat | None:
+    """The pivot columns of M, which are the coordinates of its rows if they
+    lie in `space` (its RREF basis has unit pivots, zeros around them);
+    None when one product shows that some row does not."""
+    n = space.ambient_dim
+    if M.cols != n:
+        raise DimensionMismatch("vector has wrong length")
+    C = _mat(M.rows, space.dim,
+             tuple(M.num[i * n + p] for i in range(M.rows) for p in space.pivots), M.den)
+    return C if C * space.basis == M else None
 
 
 def image(A: Mat) -> Subspace:
     """Row space of A, i.e. {x*A : x in Q^n} under the row convention."""
-    return _span(A)
+    res = rref(A)
+    R = res.matrix
+    basis = _mat(res.rank, A.cols, R.num[:res.rank * A.cols], R.den)
+    return Subspace(A.cols, basis, res.pivots)
 
 
 def kernel(A: Mat) -> Subspace:
@@ -383,7 +358,7 @@ def kernel(A: Mat) -> Subspace:
         for i, p in enumerate(res.pivots):
             v[p] = -R[i * n + f]
         rows.extend(v)
-    return _span(_mat(len(free), n, tuple(rows), 1))
+    return image(_mat(len(free), n, tuple(rows), 1))
 
 
 def inverse(A: Mat) -> Mat:

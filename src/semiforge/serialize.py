@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .linalg import Mat
 from .semigroup import MorphismTable
@@ -18,15 +19,30 @@ class ParseError(ValueError):
     pass
 
 
-_FRACTION_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+# at most 4300 digits each, Python's default int <-> str limit
+_FRACTION_RE = re.compile(r"^(-?\d{1,4300})(?:/(\d{1,4300}))?$")
 
 
 def frac_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+_KINDS = {int: "integer", list: "list", dict: "object", str: "string"}
+
+
+def _typed(x, kind: type, what: str):
+    """x if its type is exactly `kind` (so a bool is not an integer)."""
+    if type(x) is not kind:
+        raise ParseError(f"{what} must be a JSON {_KINDS[kind]}, got {x!r}")
+    return x
+
+
+def _names(x, what: str) -> tuple[str, ...]:
+    return tuple(_typed(a, str, f"each of {what}") for a in _typed(x, list, what))
+
+
 def frac_from_str(s) -> Fraction:
-    if isinstance(s, int):
+    if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str):
         raise ParseError(f"expected a rational string, got {s!r}")
@@ -40,19 +56,26 @@ def frac_from_str(s) -> Fraction:
     return Fraction(num, den)
 
 
+def _entry_to_str(x: int, den: int) -> str:
+    """x/den in lowest terms, written as frac_to_str writes it."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
 def matrix_to_json(A: Mat) -> dict:
-    return {"n": A.rows, "entries": [[frac_to_str(x) for x in r] for r in A.data]}
+    return {"n": A.rows,
+            "entries": [[_entry_to_str(x, A.den) for x in r] for r in A.int_rows()]}
 
 
 def matrix_from_json(obj, context: str = "matrix") -> Mat:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ParseError(f"{context}: expected an object with 'entries'")
-    entries = obj["entries"]
     try:
-        rows = [[frac_from_str(x) for x in row] for row in entries]
+        rows = [[frac_from_str(x) for x in _typed(row, list, "a row")]
+                for row in _typed(obj["entries"], list, "'entries'")]
+        n = _typed(obj.get("n", len(rows)), int, "'n'")
     except ParseError as exc:
         raise ParseError(f"{context}: {exc}") from exc
-    n = obj.get("n", len(rows))
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ParseError(f"{context}: expected a square {n}x{n} entry grid")
     return Mat(rows, cols=n)
@@ -66,7 +89,9 @@ def generators_to_json(table: MorphismTable) -> dict:
 def generators_from_json(obj) -> MorphismTable:
     if not isinstance(obj, dict) or "generators" not in obj or "n" not in obj:
         raise ParseError("generators file needs 'n' and 'generators'")
-    n = obj["n"]
+    n = _typed(obj["n"], int, "'n'")
+    if n < 1:
+        raise ParseError(f"'n' must be at least 1, got {n}")
     gens = obj["generators"]
     if not isinstance(gens, dict) or not gens:
         raise ParseError("'generators' must be a nonempty object")
@@ -91,28 +116,32 @@ def automaton_from_json(obj) -> WeightedAutomaton:
     for field in ("n", "alphabet", "transitions", "alpha", "eta"):
         if not isinstance(obj, dict) or field not in obj:
             raise ParseError(f"automaton file needs '{field}'")
-    n = obj["n"]
-    alphabet = tuple(obj["alphabet"])
+    n = _typed(obj["n"], int, "'n'")
+    alphabet = _names(obj["alphabet"], "'alphabet'")
+    transitions = _typed(obj["transitions"], dict, "'transitions'")
     mapping = {}
     for a in alphabet:
-        if a not in obj["transitions"]:
+        if a not in transitions:
             raise ParseError(f"missing transition matrix for letter {a!r}")
-        m = matrix_from_json(obj["transitions"][a], context=f"transition {a!r}")
+        m = matrix_from_json(transitions[a], context=f"transition {a!r}")
         if m.rows != n:
             raise ParseError(f"transition {a!r} is not {n}x{n}")
         mapping[a] = m
-    alpha = tuple(frac_from_str(x) for x in obj["alpha"])
-    eta = tuple(frac_from_str(x) for x in obj["eta"])
+    alpha = tuple(frac_from_str(x) for x in _typed(obj["alpha"], list, "'alpha'"))
+    eta = tuple(frac_from_str(x) for x in _typed(obj["eta"], list, "'eta'"))
     if len(alpha) != n or len(eta) != n:
         raise ParseError("alpha and eta must have n entries")
-    return WeightedAutomaton(MorphismTable(n, alphabet, mapping), alpha, eta)
+    try:
+        return WeightedAutomaton(MorphismTable(n, alphabet, mapping), alpha, eta)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def vass_to_json(V: AffineVass) -> dict:
     return {"d": V.d,
             "states": list(V.states),
             "transitions": [{"from": t.source,
-                             "A": [[int(x) for x in r] for r in t.matrix.data],
+                             "A": t.matrix.int_rows(),
                              "b": list(t.offset),
                              "to": t.target} for t in V.transitions]}
 
@@ -121,24 +150,24 @@ def vass_from_json(obj) -> AffineVass:
     for field in ("d", "states", "transitions"):
         if not isinstance(obj, dict) or field not in obj:
             raise ParseError(f"VASS file needs '{field}'")
-    d = obj["d"]
+    d = _typed(obj["d"], int, "'d'")
     transitions = []
-    for i, t in enumerate(obj["transitions"]):
-        for field in ("from", "A", "b", "to"):
-            if field not in t:
-                raise ParseError(f"transition {i} needs '{field}'")
-        A = t["A"]
-        if len(A) != d or any(len(r) != d for r in A):
+    for i, t in enumerate(_typed(obj["transitions"], list, "'transitions'")):
+        if not isinstance(t, dict) or any(f not in t for f in ("from", "A", "b", "to")):
+            raise ParseError(f"transition {i} needs 'from', 'A', 'b' and 'to'")
+        A = _typed(t["A"], list, f"transition {i}: 'A'")
+        if len(A) != d or any(type(r) is not list or len(r) != d for r in A):
             raise ParseError(f"transition {i}: matrix is not {d}x{d}")
-        if len(t["b"]) != d:
+        if len(_typed(t["b"], list, f"transition {i}: 'b'")) != d:
             raise ParseError(f"transition {i}: offset is not length {d}")
         # JSON integers only: a float or a string would be truncated or misread
-        entries = [x for r in A for x in r] + list(t["b"])
+        entries = [x for r in A for x in r] + t["b"]
         if any(type(x) is not int for x in entries):
             raise ParseError(f"transition {i}: 'A' and 'b' entries must be JSON integers")
-        transitions.append(Transition(t["from"], Mat(A, cols=d), tuple(t["b"]), t["to"]))
+        source, target = (_typed(t[f], str, f"transition {i}: {f!r}") for f in ("from", "to"))
+        transitions.append(Transition(source, Mat(A, cols=d), tuple(t["b"]), target))
     try:
-        return AffineVass(d, tuple(obj["states"]), tuple(transitions))
+        return AffineVass(d, _names(obj["states"], "'states'"), tuple(transitions))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

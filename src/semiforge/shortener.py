@@ -67,13 +67,8 @@ def cycle_rep(table: MorphismTable, frame: CycleFrame, word) -> CycleRep:
         raise NotACycle(f"image of {word!r} is not the base space")
     if not trivial_intersection(base, kernel(mw)):
         raise NotACycle(f"{word!r} kills part of the base space")
-    P = frame.P
-    pm = P * mw
-    # rows of P*M(w) lie in the base space; with P in RREF their
-    # coordinates are read off the pivot columns
-    mprime = Mat(tuple(tuple(pm.data[i][j] for j in base.pivots) for i in range(P.rows)),
-                 cols=base.dim)
-    assert mprime * P == pm
+    # rows of P*M(w) lie in the base space; coordinates() checks that too
+    mprime = base.coordinates(frame.P * mw)
     return CycleRep(frame, word, mprime)
 
 

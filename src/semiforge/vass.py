@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import mul
 
 from .linalg import Mat
 from .semigroup import FinitenessResult, MorphismTable, decide_finiteness
@@ -46,9 +47,9 @@ class Configuration:
 
 
 def _apply(t: Transition, v: tuple[int, ...]) -> tuple[int, ...]:
-    # column-vector update: w = A*v + b
-    return tuple(int(sum(t.matrix.data[i][j] * v[j] for j in range(len(v)))) + t.offset[i]
-                 for i in range(len(v)))
+    # column-vector update: w = A*v + b, on the numerators (A is integral)
+    a, d = t.matrix.num, len(v)
+    return tuple(sum(map(mul, a[i * d:(i + 1) * d], v)) + b for i, b in enumerate(t.offset))
 
 
 def step(V: AffineVass, c: Configuration) -> list[Configuration]:

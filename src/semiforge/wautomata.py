@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Mat, Subspace, _frac
+from .linalg import Mat, Subspace, _frac, image, stack
 from .semigroup import FinitenessResult, MorphismTable, decide_finiteness
 
 
@@ -40,39 +40,33 @@ class WeightedAutomaton:
 
 
 def evaluate(A: WeightedAutomaton, word) -> Fraction:
-    v = list(A.alpha)
+    mapping = A.table.mapping
+    v = Mat.row_vector(A.alpha)
     for a in word:
-        if a not in A.table.mapping:
+        if a not in mapping:
             raise UnknownLetter(a)
-        m = A.table.mapping[a]
-        v = [sum(v[i] * m.data[i][j] for i in range(A.n)) for j in range(A.n)]
-    return sum(x * y for x, y in zip(v, A.eta)) if A.n else Fraction(0)
+        v = v * mapping[a]
+    value = v * Mat.row_vector(A.eta).transpose()
+    return Fraction(value.num[0], value.den)
 
 
-def _reach_space(start: tuple, mats: list[Mat], n: int) -> tuple[Subspace, int]:
-    """Span of start vector under repeated right multiplication; returns
-    the space and the number of expansion rounds until stable."""
-    space = Subspace.from_rows(n, (start,) if any(start) else ())
-    frontier = [start] if any(start) else []
-    rounds = 0
+def forward_space(A: WeightedAutomaton) -> Subspace:
+    """span{alpha * M(w) : w over the alphabet}. Every insertion raises the
+    dimension, so the basis is rebuilt (one rref) at most n times."""
+    mats = [A.table.mapping[a] for a in A.alphabet]
+    start = Mat.row_vector(A.alpha)
+    space = image(start)
+    frontier = [start] if space.dim else []
     while frontier:
         fresh = []
         for v in frontier:
             for m in mats:
-                u = tuple(sum(v[i] * m.data[i][j] for i in range(n)) for j in range(n))
-                if not space.contains(u):
-                    space = Subspace.from_rows(n, space.basis.data + (u,))
+                u = v * m
+                if not space.contains(u.num):
+                    space = image(stack(space.basis, u))
                     fresh.append(u)
         frontier = fresh
-        if fresh:
-            rounds += 1
-    return space, rounds
-
-
-def forward_space(A: WeightedAutomaton) -> Subspace:
-    """span{alpha * M(w) : w over the alphabet}."""
-    mats = [A.table.mapping[a] for a in A.alphabet]
-    return _reach_space(A.alpha, mats, A.n)[0]
+    return space
 
 
 def backward_space(A: WeightedAutomaton) -> Subspace:
@@ -86,21 +80,19 @@ def reverse(A: WeightedAutomaton) -> WeightedAutomaton:
     return WeightedAutomaton(table, A.eta, A.alpha)
 
 
+def _entries(M: Mat) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x, M.den) for x in M.num)
+
+
 def _forward_restrict(A: WeightedAutomaton) -> WeightedAutomaton:
     F = forward_space(A)
-    f = F.dim
-    if f == 0:
-        empty = MorphismTable(0, A.alphabet, {a: Mat((), cols=0) for a in A.alphabet})
-        return WeightedAutomaton(empty, (), ())
     basis = F.basis
-    alpha = F.coords(A.alpha)
-    mapping = {}
-    for a in A.alphabet:
-        fm = basis * A.table.mapping[a]
-        # rows stay inside the forward space, so coordinates are exact
-        mapping[a] = Mat(tuple(F.coords(row) for row in fm.data), cols=f)
-    eta = tuple(sum(x * y for x, y in zip(row, A.eta)) for row in basis.data)
-    return WeightedAutomaton(MorphismTable(f, A.alphabet, mapping), alpha, eta)
+    alpha = F.coordinates(Mat.row_vector(A.alpha))
+    # rows of basis * M(a) stay inside the forward space
+    mapping = {a: F.coordinates(basis * A.table.mapping[a]) for a in A.alphabet}
+    eta = basis * Mat.row_vector(A.eta).transpose()
+    return WeightedAutomaton(MorphismTable(F.dim, A.alphabet, mapping),
+                             _entries(alpha), _entries(eta))
 
 
 def minimize(A: WeightedAutomaton) -> WeightedAutomaton:

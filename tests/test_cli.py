@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from semiforge import size_bound
+from semiforge import length_bound, size_bound
+from semiforge.semigroup import g_upper_bound
 from semiforge.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -228,6 +229,13 @@ class TestDocumentedExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    def test_singular_integerize_is_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps({"n": 1, "generators": {"a": {"entries": [["0"]]}}}))
+        assert main(["integerize", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: generator 'a' is singular\n"
+
     @pytest.mark.parametrize("command, name", [("wa-finite", "automaton_rational.json"),
                                                ("vass-fmp", "vass_finite.json")])
     def test_exceeded_cap_reports_the_cap(self, capsys, command, name):
@@ -276,3 +284,88 @@ class TestVassEntriesMustBeIntegers:
             "transitions": [{"from": "q", "A": [[1.0]], "b": [1], "to": "q"}],
         }))
         assert main(["vass-fmp", str(path)]) == 1
+
+
+class TestLengthBoundText:
+    def test_exact_while_at_most_4300_digits(self, capsys):
+        code, out = run(capsys, "bound", "--n", "34")
+        assert code == 0
+        assert out["length_bound"] == str(length_bound(34).length_bound)
+
+    def test_n35_is_the_closed_form(self, capsys):
+        code, out = run(capsys, "bound", "--n", "35", "--m", "1")
+        assert code == 0
+        assert out == {"n": 35, "g_upper": str(g_upper_bound(35)),
+                       "length_bound": "2^(2555)*(70!)^(36)", "m": 1,
+                       "size_bound": "2^(2555)*(70!)^(36)"}
+
+    def test_huge_n_is_never_built(self, capsys):
+        start = time.monotonic()
+        code, out = run(capsys, "bound", "--n", "100000", "--m", "2")
+        assert time.monotonic() - start < 1.0
+        assert code == 0
+        L = "2^(20000300000)*(200000!)^(100001)"
+        assert out == {"n": 100000, "g_upper": "(200000)!", "length_bound": L, "m": 2,
+                       "size_bound": f"(2^({L}+1) - 2)/(2 - 1)"}
+
+    def test_shorten_reports_the_closed_form(self, capsys, tmp_path):
+        path = tmp_path / "id35.json"
+        path.write_text(json.dumps({"n": 35, "generators": {"a": {"entries": [
+            [int(i == j) for j in range(35)] for i in range(35)]}}}))
+        code, out = run(capsys, "shorten", str(path), "--word", "aa")
+        assert code == 0
+        assert out["bound"] == "2^(2555)*(70!)^(36)" and out["verified"]
+
+
+class TestCapEnvironment:
+    @pytest.mark.parametrize("value, command, message", [
+        ("abc", "finiteness", "SEMIFORGE_CAP must be an integer, got 'abc'"),
+        ("0", "closure", "SEMIFORGE_CAP must be at least 1, got 0"),
+    ])
+    def test_invalid_cap_is_exit_1(self, capsys, monkeypatch, rot90_file, value, command,
+                                   message):
+        monkeypatch.setenv("SEMIFORGE_CAP", value)
+        assert main([command, rot90_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_valid_cap_is_reported(self, capsys, monkeypatch, rot90_file):
+        monkeypatch.setenv("SEMIFORGE_CAP", "2")
+        code, out = run(capsys, "finiteness", rot90_file)
+        assert code == 2
+        assert out == {"status": "exceeded_cap", "cap": 2}
+
+
+_GENERATORS = {"n": 1, "generators": {"a": {"entries": [["1"]]}}}
+_VASS = {"d": 1, "states": ["q"],
+         "transitions": [{"from": "q", "A": [[1]], "b": [1], "to": "q"}]}
+_AUTOMATON = {"n": 1, "alphabet": ["a"], "transitions": {"a": {"entries": [["1"]]}},
+              "alpha": ["1"], "eta": ["1"]}
+
+
+class TestStrictShapes:
+    @pytest.mark.parametrize("command, doc, message", [
+        ("finiteness", {**_GENERATORS, "generators": {"a": {"entries": 5}}},
+         "'entries' must be a JSON list, got 5"),
+        ("finiteness", {**_GENERATORS, "generators": {"a": {"entries": [5]}}},
+         "a row must be a JSON list, got 5"),
+        ("finiteness", {**_GENERATORS, "n": "1"}, "'n' must be a JSON integer, got '1'"),
+        ("finiteness", {**_GENERATORS, "n": True}, "'n' must be a JSON integer, got True"),
+        ("finiteness", {**_GENERATORS, "generators": {"a": {"entries": [["1" * 4301]]}}},
+         "malformed rational"),
+        ("shorten", {**_GENERATORS, "n": 0, "generators": {"a": {"entries": []}}},
+         "'n' must be at least 1, got 0"),
+        ("vass-fmp", {**_VASS, "transitions": 5}, "'transitions' must be a JSON list, got 5"),
+        ("vass-fmp", {**_VASS, "transitions": [dict(_VASS["transitions"][0], A=[1])]},
+         "transition 0: matrix is not 1x1"),
+        ("vass-fmp", {**_VASS, "d": "1"}, "'d' must be a JSON integer, got '1'"),
+        ("wa-finite", {**_AUTOMATON, "alpha": 5}, "'alpha' must be a JSON list, got 5"),
+    ])
+    def test_malformed_shape_is_a_parse_error(self, capsys, tmp_path, command, doc, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        extra = ["--word", ""] if command == "shorten" else []
+        assert main([command, str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert captured.err.startswith("error: ")

@@ -1,0 +1,154 @@
+"""Fuzzing the command line: every input ends in a documented exit code.
+
+Each subcommand gets small JSON documents, well formed or with one part
+replaced by arbitrary JSON or deleted, and is run in-process through
+`main`. Whatever the document, the exit code is 0, 1 or 2, nothing
+escapes as a traceback, and exits 0 and 2 print one JSON document.
+"""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from semiforge.cli import main
+
+small = st.integers(-3, 3)
+rational = st.one_of(small, st.sampled_from(["1/2", "-3/2", "2/3", " 1 ", "0"]))
+junk = st.recursive(
+    st.one_of(st.none(), st.booleans(), small, st.floats(-2, 2, allow_nan=False),
+              st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=2), inner, max_size=3)),
+    max_leaves=6)
+letters = st.lists(st.sampled_from("ab"), min_size=1, max_size=2, unique=True)
+
+
+def grid(n, entry):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def matrix_doc(n):
+    return st.fixed_dictionaries({"n": st.just(n), "entries": grid(n, rational)})
+
+
+@st.composite
+def generators_doc(draw):
+    n = draw(st.integers(0, 3))
+    return {"n": n, "generators": {a: draw(matrix_doc(n)) for a in draw(letters)}}
+
+
+@st.composite
+def automaton_doc(draw):
+    n = draw(st.integers(0, 3))
+    alphabet = draw(letters)
+    vector = st.lists(rational, min_size=n, max_size=n)
+    return {"n": n, "alphabet": alphabet,
+            "transitions": {a: draw(matrix_doc(n)) for a in alphabet},
+            "alpha": draw(vector), "eta": draw(vector)}
+
+
+@st.composite
+def vass_doc(draw):
+    d = draw(st.integers(0, 2))
+    state = st.sampled_from(["p", "q"])
+    transition = st.fixed_dictionaries({
+        "from": state, "A": grid(d, st.integers(-2, 2)),
+        "b": st.lists(st.integers(-2, 2), min_size=d, max_size=d), "to": state})
+    return {"d": d, "states": ["p", "q"],
+            "transitions": draw(st.lists(transition, max_size=3))}
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _paths(v, prefix + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _paths(v, prefix + (i,))
+
+
+_DELETE = object()
+
+
+def _edit(doc, path, value):
+    """A copy of doc with the part at path replaced by value, or removed
+    when value is _DELETE (then the part is an object field)."""
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    if rest or value is not _DELETE:
+        copy[head] = _edit(doc[head], rest, value)
+    else:
+        del copy[head]
+    return copy
+
+
+@st.composite
+def mutated(draw, valid):
+    doc = draw(valid)
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        field = bool(path) and isinstance(path[-1], str)
+        doc = _edit(doc, path, draw(st.one_of(junk, st.just(_DELETE)) if field else junk))
+    return doc
+
+
+cap = st.integers(1, 30).map(str)
+config = st.one_of(
+    st.builds(lambda s, v: f"{s}:" + ",".join(map(str, v)),
+              st.sampled_from(["p", "q", "z"]), st.lists(small, max_size=3)),
+    # argparse would take a leading "-" for an option
+    st.text(alphabet="pq:,-1x", max_size=5).filter(lambda s: not s.startswith("-")))
+
+# subcommand -> (document strategy or None, strategy for the arguments after the file)
+COMMANDS = {
+    "finiteness": (generators_doc(), st.tuples(st.just("--cap"), cap).flatmap(
+        lambda t: st.sampled_from([t, t + ("--witnesses",)]))),
+    "closure": (generators_doc(), st.tuples(st.just("--cap"), cap)),
+    "shorten": (generators_doc(), st.tuples(
+        st.just("--word"), st.text(alphabet="abc,", max_size=6), st.just("--cap"), cap)
+        .flatmap(lambda t: st.sampled_from([t, t + ("--assume-finite",)]))),
+    "integerize": (generators_doc(), st.just(())),
+    "image-graph": (generators_doc(), st.just(())),
+    "wa-finite": (automaton_doc(), st.tuples(st.just("--cap"), cap)),
+    "vass-fmp": (vass_doc(), st.tuples(st.just("--cap"), cap)),
+    "vass-reach": (vass_doc(), st.tuples(
+        st.just("--from"), config, st.just("--to"), config,
+        st.just("--budget"), st.integers(-1, 20).map(str))),
+    "bound": (None, st.tuples(
+        st.just("--n"), st.sampled_from([-1, 0, 1, 2, 34, 35, 10 ** 6]).map(str))
+        .flatmap(lambda t: st.sampled_from([t, t + ("--m", "1"), t + ("--m", "3")]))),
+}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_input_ends_in_a_documented_exit_code(command, workdir, capsys):
+    doc_strategy, args_strategy = COMMANDS[command]
+    path = workdir / f"{command}.json"
+
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.none() if doc_strategy is None else mutated(doc_strategy), args_strategy)
+    def check(doc, args):
+        argv = [command, *args]
+        if doc_strategy is not None:
+            path.write_text(json.dumps(doc))
+            argv.insert(1, str(path))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in captured.err
+        if code == 1:
+            assert captured.out == "" and captured.err.startswith("error: ")
+        else:
+            json.loads(captured.out)
+
+    check()

@@ -70,6 +70,11 @@ class TestHnf:
         with pytest.raises(ValueError):
             hnf(mat([[F(1, 2)]]))
 
+    def test_only_integral_matrices(self):
+        # a row list used to be read through int(), so 3/2 became 1
+        with pytest.raises(ValueError):
+            hnf([[F(3, 2), 1], [0, 2]])
+
     def _assert_shape(self, H):
         pivots = []
         for row in H.data:

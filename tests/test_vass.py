@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from semiforge import (AffineVass, Configuration, Mat, Transition, check_fmp,
                        reach_bounded, step)
@@ -99,3 +100,30 @@ class TestReach:
             assert t.source == c.state
             c = Configuration(t.target, _apply(t, c.vector))
         assert c == target
+
+
+# `oracle_apply` is the Fraction loop `_apply` ran before it moved to
+# integer dot products.
+
+def oracle_apply(t, v):
+    return tuple(int(sum(t.matrix.data[i][j] * v[j] for j in range(len(v)))) + t.offset[i]
+                 for i in range(len(v)))
+
+
+@st.composite
+def transitions_and_vectors(draw):
+    d = draw(st.integers(0, 3))
+    entries = st.lists(st.integers(-5, 5), min_size=d, max_size=d)
+    t = Transition("q", Mat(draw(st.lists(entries, min_size=d, max_size=d)), cols=d),
+                   tuple(draw(entries)), "q")
+    return t, tuple(draw(st.lists(st.integers(-20, 20), min_size=d, max_size=d)))
+
+
+@given(transitions_and_vectors())
+def test_apply_matches_the_fraction_loop(case):
+    t, v = case
+    w = _apply(t, v)
+    assert w == oracle_apply(t, v)
+    assert all(type(x) is int for x in w)
+    V = AffineVass(len(v), ("q",), (t,))
+    assert step(V, Configuration("q", v)) == [Configuration("q", w)]

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semiforge import (Mat, UnknownLetter, WeightedAutomaton, backward_space,
                        decide_wa_finiteness, evaluate, forward_space, minimize)
@@ -106,3 +107,47 @@ class TestFiniteness:
 
     def test_counting_is_infinite(self):
         assert decide_wa_finiteness(counting_automaton()).status == "infinite"
+
+
+# ------------------------------------------------ against the Fraction loop
+#
+# `oracle_evaluate` is the Fraction loop `evaluate` ran before it moved to
+# integer matrix products.
+
+def oracle_evaluate(A, word):
+    v = list(A.alpha)
+    for a in word:
+        m = A.table.mapping[a].data
+        v = [sum(v[i] * m[i][j] for i in range(A.n)) for j in range(A.n)]
+    return sum(x * y for x, y in zip(v, A.eta)) if A.n else Fraction(0)
+
+
+# zero half the time, so that spaces grow over several rounds
+rationals = st.one_of(st.just(F(0)), st.builds(F, st.integers(-3, 3), st.integers(1, 4)))
+
+
+@st.composite
+def automata(draw, max_n=3):
+    n = draw(st.integers(0, max_n))
+    vector = st.lists(rationals, min_size=n, max_size=n).map(tuple)
+    mats = {a: Mat(draw(st.lists(vector, min_size=n, max_size=n)), cols=n) for a in "ab"}
+    return automaton(mats, draw(vector), draw(vector))
+
+
+words = st.lists(st.sampled_from("ab"), max_size=6).map(tuple)
+
+
+class TestAgainstFractionLoop:
+    @given(automata(), words)
+    def test_evaluate(self, A, word):
+        value = evaluate(A, word)
+        assert isinstance(value, Fraction)
+        assert value == oracle_evaluate(A, word)
+
+    @settings(max_examples=50, deadline=None)
+    @given(automata(max_n=4), st.lists(words, min_size=1, max_size=4))
+    def test_minimize_keeps_the_values(self, A, some_words):
+        B = minimize(A)
+        assert B.n <= A.n
+        for w in ((),) + tuple(some_words):
+            assert evaluate(B, w) == oracle_evaluate(A, w)
