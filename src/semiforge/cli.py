@@ -8,6 +8,7 @@ results are single JSON documents on stdout (or --output).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -227,8 +228,20 @@ def cmd_vass_reach(args) -> tuple[int, dict]:
     return 0, out
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1, as for every other usage
+    error; argparse's own 2 would read as an exceeded cap."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="semiforge")
+    """The command-line parser, built once per process: building it costs
+    more than parsing with it."""
+    parser = _Parser(prog="semiforge")
     parser.add_argument("--version", action="version", version=f"semiforge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -5,12 +5,13 @@ the length / size bound calculators.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
+from operator import mul
 
-from . import polys
-from .linalg import Mat, minimal_polynomial
+from .linalg import DimensionMismatch, Mat
 
 Word = tuple  # tuple[str, ...]
 
@@ -145,27 +146,128 @@ def _totient(k: int) -> int:
     return result
 
 
+def _charpoly(num: tuple, n: int) -> list[int]:
+    """det(xI - N) for the n x n integer matrix N with row-major entries
+    `num`, leading coefficient first, by Berkowitz's division-free
+    recurrence over the leading principal submatrices: with B the leading
+    m x m block, R and S the rest of row and column m, and a the diagonal
+    entry, the polynomial of the next block is the Toeplitz product of
+    (1, -a, -RS, -RBS, ..., -RB^(m-1)S) with that of B."""
+    c = [1]
+    for m in range(n):
+        rows = [num[i * n:i * n + m] for i in range(m)]
+        R = num[m * n:m * n + m]
+        v = num[m:m * n:n]
+        t = [1, -num[m * n + m]]
+        for j in range(m):
+            if j:
+                v = [sum(map(mul, row, v)) for row in rows]
+            t.append(-sum(map(mul, R, v)))
+        t.reverse()
+        c = [sum(map(mul, c, t[m + 1 - k:])) for k in range(m + 2)]
+    return c
+
+
+def _divide(p: list, q: tuple) -> list | None:
+    """p / q for integer polynomials, leading coefficient first, q monic;
+    None unless q divides p."""
+    dq = len(q) - 1
+    cut = len(p) - dq
+    if cut < 1:
+        return None
+    p = list(p)
+    for i in range(cut):
+        c = p[i]
+        if c:
+            for j in range(1, dq + 1):
+                p[i + j] -= c * q[j]
+    return None if any(p[cut:]) else p[:cut]
+
+
+def _times(p: list, q: tuple) -> list:
+    """p * q for integer polynomials, leading coefficient first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@functools.cache
+def _cyclotomic(k: int) -> tuple:
+    """The k-th cyclotomic polynomial, leading coefficient first: x^k - 1
+    divided by Phi_d for each proper divisor d of k."""
+    p = [1] + [0] * (k - 1) + [-1]
+    for d in range(1, k):
+        if k % d == 0:
+            p = _divide(p, _cyclotomic(d))
+    return tuple(p)
+
+
+@functools.cache
+def _orders(d: int) -> tuple:
+    """The orders k of the roots of unity of degree phi(k) <= d, which are
+    at most 2*d^2 since phi(k) >= sqrt(k/2)."""
+    return tuple(k for k in range(1, 2 * d * d + 1) if _totient(k) <= d)
+
+
 def is_torsion(A: Mat) -> bool:
     """Whether A^i = A^j for some i < j.
 
-    Via the minimal polynomial mu = x^a * q: torsion iff q is squarefree
-    and all roots of q are roots of unity. An eigenvalue of order k has
-    phi(k) <= deg q, so it suffices to check q | x^L - 1 for L the lcm of
-    all such k (and k <= 2*(deg q)^2 since phi(k) >= sqrt(k/2)).
+    That holds iff every eigenvalue is 0 or a root of unity and the
+    nonzero ones are semisimple: iff chi_A = x^b * p with p a product of
+    cyclotomic polynomials, and A^b * rad(p)(A) = 0. With A = N / den for
+    the integer matrix N:
+
+    1. chi_A, whose x^(n-k) coefficient is that of chi_N over den^k, has
+       integer coefficients;
+    2. p divides out into cyclotomic factors Phi_k, phi(k) <= deg p; the
+       distinct ones multiply to rad(p);
+    3. when p is squarefree, x^b * rad(p) is chi_A, which vanishes at A by
+       Cayley-Hamilton; otherwise a Horner chain evaluates
+       A^b * rad(p)(A).
     """
-    mu = minimal_polynomial(A)
-    a = 0
-    while mu[a] == 0:
-        a += 1
-    q = polys.trim(mu[a:])
-    d = polys.degree(q)
-    if d == 0:
-        return True
-    if polys.degree(polys.gcd(q, polys.derivative(q))) > 0:
+    if not A.is_square():
+        raise DimensionMismatch("torsion test needs a square matrix")
+    n, den = A.rows, A.den
+    p = []
+    scale = 1
+    for c in _charpoly(A.num, n):
+        a, r = divmod(c, scale)
+        if r:
+            return False
+        p.append(a)
+        scale *= den
+    while p[-1] == 0:  # chi_A = x^b * p
+        p.pop()
+    b = n + 1 - len(p)
+    factors = []
+    squarefree = True
+    for k in _orders(len(p) - 1):
+        phi = _cyclotomic(k)
+        q = _divide(p, phi)
+        if q is None:
+            continue
+        factors.append(phi)
+        while q is not None:
+            p = q
+            q = _divide(p, phi)
+            squarefree = squarefree and q is None
+        if len(p) == 1:
+            break
+    if len(p) > 1:
         return False
-    orders = [k for k in range(1, 2 * d * d + 1) if _totient(k) <= d]
-    L = math.lcm(*orders)
-    return polys.pow_x_mod(L, q) == polys.ONE
+    if squarefree:
+        return True
+    f = [1]
+    for phi in factors:
+        f = _times(f, phi)
+    f += [0] * b
+    I = Mat.identity(n)
+    H = A + f[1] * I  # f is monic
+    for c in f[2:]:
+        H = H * A + c * I
+    return H.is_zero()
 
 
 @dataclass

@@ -2,18 +2,21 @@
 
 The oracles deliberately avoid the library's own algorithms: closure by
 set fixed-point instead of BFS with witnesses, torsion by power
-iteration instead of the minimal polynomial, and graph distances by a
-plain dictionary BFS. Subspace intersection is the exception: the
+iteration or by the minimal polynomial (the library's former route)
+instead of the characteristic-polynomial certificate, and graph
+distances by a plain dictionary BFS. Subspace intersection is the exception: the
 library tests it by the rank of the stacked bases, as the oracle here
 does, so the tests also compare it with the wedge-product embedding of
 `semiforge.exterior`.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
-from semiforge import Mat, MorphismTable, rank
+from semiforge import Mat, MorphismTable, minimal_polynomial, rank
 from semiforge.linalg import stack
+from semiforge.semigroup import _totient
 from semiforge import polys
 
 F = Fraction
@@ -76,6 +79,25 @@ def power_iteration_torsion(A, budget=300):
             return True
         seen.add(power)
     return False
+
+
+def oracle_is_torsion(A):
+    """Torsion via the minimal polynomial mu = x^a * q over Q: torsion iff
+    q is squarefree and divides x^L - 1, with L the lcm of every order k
+    of a root of unity of degree phi(k) <= deg q (k <= 2 * (deg q)^2,
+    since phi(k) >= sqrt(k/2))."""
+    mu = minimal_polynomial(A)
+    a = 0
+    while mu[a] == 0:
+        a += 1
+    q = polys.trim(mu[a:])
+    d = polys.degree(q)
+    if d == 0:
+        return True
+    if polys.degree(polys.gcd(q, polys.derivative(q))) > 0:
+        return False
+    L = math.lcm(*(k for k in range(1, 2 * d * d + 1) if _totient(k) <= d))
+    return polys.pow_x_mod(L, q) == polys.ONE
 
 
 def rank_oracle_trivial(W1, W2):

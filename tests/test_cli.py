@@ -6,7 +6,7 @@ import pytest
 
 from semiforge import length_bound, size_bound
 from semiforge.semigroup import g_upper_bound
-from semiforge.cli import main
+from semiforge.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -242,6 +242,39 @@ class TestDocumentedExitCodes:
         code, out = run(capsys, command, str(GOLDEN / name), "--cap", "1")
         assert code == 2
         assert out == {"status": "exceeded_cap", "cap": 1}
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1 like every other usage error; 2 is
+    kept for an exceeded cap."""
+
+    @pytest.mark.parametrize("argv", [
+        ["vass-reach", "v.json", "--from", "-q:0", "--to", "q:0", "--budget", "5"],
+        [],
+        ["bound", "--n", "1", "--no-such-flag"],
+    ])
+    def test_usage_error_is_exit_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: semiforge")
+        assert "\nerror: " in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["bound", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+    def test_reused_parser_keeps_no_state(self, capsys):
+        assert build_parser() is build_parser()
+        code, first = run(capsys, "bound", "--n", "2", "--m", "1")
+        assert code == 0 and first["m"] == 1
+        code, second = run(capsys, "bound", "--n", "1")
+        assert code == 0 and second["n"] == 1 and "m" not in second
 
 
 class TestSizeBoundText:

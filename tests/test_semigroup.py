@@ -3,15 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from semiforge import (Mat, NotMember, closure, decide_finiteness,
+from semiforge import (DimensionMismatch, Mat, NotMember, closure, decide_finiteness,
                        default_cap, is_torsion, length_bound, shortest_word_for,
                        size_bound)
-from semiforge.semigroup import g_signed_permutations, g_upper_bound, _totient
+from semiforge import polys, semigroup
+from semiforge.linalg import det, inverse
+from semiforge.semigroup import g_signed_permutations, g_upper_bound, _charpoly, _totient
 from conftest import (PROJ_X, PROJ_Y, ROT90, SHIFT_NILP, brute_closure,
-                      companion, cyclotomic, mat, power_iteration_torsion,
-                      table_from)
+                      companion, cyclotomic, mat, oracle_is_torsion,
+                      power_iteration_torsion, table_from)
 
 F = Fraction
 
@@ -109,6 +111,123 @@ class TestTorsion:
         assert is_torsion(a) == power_iteration_torsion(a, budget=60)
 
 
+def _block_diagonal(blocks):
+    n = sum(b.rows for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        for r in b.data:
+            rows.append([0] * at + list(r) + [0] * (n - at - b.rows))
+        at += b.rows
+    return Mat(rows, cols=n)
+
+
+@st.composite
+def _monomial(draw, n, singular):
+    """A signed permutation matrix, or with `singular` some rows zeroed."""
+    perm = draw(st.permutations(range(n)))
+    values = (0, 1, -1) if singular else (1, -1)
+    signs = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    return Mat([[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)],
+               cols=n)
+
+
+@st.composite
+def _jordan(draw, n):
+    """Upper bidiagonal: eigenvalues 0 and +-1, ones or zeros above."""
+    diag = draw(st.lists(st.sampled_from((0, 1, -1)), min_size=n, max_size=n))
+    upper = draw(st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n))
+    return Mat([[diag[i] if j == i else (upper[i] if j == i + 1 else 0) for j in range(n)]
+                for i in range(n)], cols=n)
+
+
+@st.composite
+def _rational(draw, n):
+    entry = st.sampled_from((F(0), F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(2)))
+    return Mat(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                             min_size=n, max_size=n)), cols=n)
+
+
+@st.composite
+def _conjugate(draw, n):
+    """C M C^-1 for a monomial or Jordan M and a rational invertible C."""
+    M = draw(st.one_of(_monomial(n, True), _jordan(n)))
+    C = draw(_rational(n))
+    assume(det(C) != 0)
+    return C * M * inverse(C)
+
+
+# cyclotomic orders of degree phi(k) <= 4
+_SMALL_ORDERS = (1, 2, 3, 4, 5, 6, 8, 10, 12)
+
+
+@st.composite
+def _cyclotomic_blocks(draw):
+    """Companions of cyclotomic products with repeated factors (not
+    semisimple, so not torsion), block-diagonal copies of one factor's
+    companion (torsion, with the factor repeated in chi), and a nilpotent
+    or zero block beside them; n <= 6 in all."""
+    ks = draw(st.lists(st.sampled_from(_SMALL_ORDERS), min_size=1, max_size=3).filter(
+        lambda ks: sum(_totient(k) for k in ks) <= 6))
+    product = polys.ONE
+    for k in ks:
+        product = polys.mul(product, cyclotomic(k))
+    blocks = [companion(product)] if draw(st.booleans()) else [companion(cyclotomic(k)) for k in ks]
+    size = sum(b.rows for b in blocks)
+    if size < 6 and draw(st.booleans()):
+        blocks.append(draw(_jordan(draw(st.integers(1, 6 - size)))))
+    return _block_diagonal(blocks)
+
+
+@st.composite
+def _torsion_candidates(draw):
+    n = draw(st.integers(0, 6))
+    return draw(st.one_of(_monomial(n, False), _monomial(n, True), _jordan(n),
+                          _rational(n), _conjugate(n), _cyclotomic_blocks()))
+
+
+class TestTorsionCertificate:
+    """The characteristic-polynomial certificate against the minimal-
+    polynomial route it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_torsion_candidates())
+    def test_agrees_with_minimal_polynomial_oracle(self, A):
+        assert is_torsion(A) == oracle_is_torsion(A)
+
+    @pytest.mark.parametrize("ks, torsion", [
+        ((1, 1), False), ((2, 2), False), ((3, 3), False), ((4, 4), False),
+        ((1, 2, 1), False), ((1, 2), True), ((3, 4), True), ((5,), True), ((7,), True)])
+    def test_cyclotomic_products(self, ks, torsion):
+        product = polys.ONE
+        for k in ks:
+            product = polys.mul(product, cyclotomic(k))
+        A = companion(product)
+        assert is_torsion(A) == oracle_is_torsion(A) == torsion
+        # the same factors as separate blocks are semisimple
+        B = _block_diagonal([companion(cyclotomic(k)) for k in ks])
+        assert is_torsion(B) and oracle_is_torsion(B)
+
+    def test_repeated_eigenvalue_beside_a_nilpotent_block(self):
+        # chi = x^2 (x + 1)^2: semisimple on -1 passes, a Jordan block fails
+        ok = _block_diagonal([mat([[-1]]), mat([[-1]]), SHIFT_NILP])
+        bad = _block_diagonal([mat([[-1, 1], [0, -1]]), SHIFT_NILP])
+        assert is_torsion(ok) and oracle_is_torsion(ok)
+        assert not is_torsion(bad) and not oracle_is_torsion(bad)
+
+    def test_non_square_is_refused(self):
+        with pytest.raises(DimensionMismatch):
+            is_torsion(Mat([[1, 0]]))
+
+    def test_charpoly_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(3)
+        for _ in range(150):
+            n = rng.randint(0, 6)
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            expected = [int(c) for c in sympy.Matrix(rows).charpoly().all_coeffs()] if n else [1]
+            assert _charpoly(tuple(x for r in rows for x in r), n) == expected
+
+
 class TestDecideFiniteness:
     def test_finite_with_closure(self):
         verdict = decide_finiteness(table_from([ROT90, PROJ_X]))
@@ -162,6 +281,21 @@ def test_decide_finiteness_closure_matches_closure():
         assert list(verdict.closure.witness.items()) == list(expected.witness.items())
         assert set(verdict.closure.witness) == brute_closure(mats)
     assert finite >= 30
+
+
+def test_witnesses_unchanged_under_the_oracle(monkeypatch):
+    rng = random.Random(11)
+    tables = []
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        tables.append(table_from([Mat([_mostly_monomial_row(rng, n) for _ in range(n)])
+                                  for _ in range(rng.randint(1, 3))]))
+    ours = [decide_finiteness(t, cap=400) for t in tables]
+    monkeypatch.setattr(semigroup, "is_torsion", oracle_is_torsion)
+    theirs = [decide_finiteness(t, cap=400) for t in tables]
+    assert [(v.status, v.witness) for v in ours] == [(v.status, v.witness) for v in theirs]
+    statuses = [v.status for v in ours]
+    assert statuses.count("finite") >= 10 and statuses.count("infinite") >= 5
 
 
 class TestBounds:
