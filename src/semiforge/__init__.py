@@ -21,9 +21,7 @@ from .grouplat import (FiniteGroupClosure, GroupInfinite, NonInvertibleGenerator
 from .imagegraph import (ImageGraph, MixedRankGenerators, NotSameSCC,
                          RankDropped, build_image_graph, scc_segment_decompose,
                          scc_shortest_path, to_dot)
-from .shortener import (CycleFrame, CycleRep, InfiniteSemigroup, NotACycle,
-                        OrderCapExceeded, Shortener, cycle_rep, reduce_cycles,
-                        rho, shorten, shorten_max_rank, shorten_within_scc)
+from .shortener import InfiniteSemigroup, NotACycle, Shortener, cycle_rep, shorten
 from .wautomata import (UnknownLetter, WeightedAutomaton, backward_space,
                         decide_wa_finiteness, evaluate, forward_space, minimize)
 from .vass import (AffineVass, Configuration, ReachResult, Transition,

@@ -44,6 +44,14 @@ def _load_json(path: str):
         raise CliError(f"{path}: {exc}")
 
 
+def _write(path: str, text: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}")
+
+
 def _at_least(value, flag: str, minimum: int):
     """An optional integer option, refused below `minimum`."""
     if value is not None and value < minimum:
@@ -177,8 +185,7 @@ def cmd_image_graph(args) -> tuple[int, dict]:
     table = generators_from_json(_load_json(args.input))
     G = build_image_graph(table)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(to_dot(G))
+        _write(args.dot, to_dot(G))
     vertices = [{"basis": matrix_to_json(v.basis)["entries"],
                  "scc": G.scc_id[v]} for v in G.vertices]
     names = {v: i for i, v in enumerate(G.vertices)}
@@ -300,15 +307,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, result = args.handler(args)
+        text = json.dumps(result, indent=2)
+        if args.output:
+            _write(args.output, text + "\n")
+        else:
+            print(text)
     except (CliError, ParseError, MixedRankGenerators, NonInvertibleGenerator) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "code", 1)
-    text = json.dumps(result, indent=2)
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
     return code
 
 

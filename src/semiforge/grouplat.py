@@ -50,7 +50,7 @@ def _normalize_generators(gens) -> dict[str, Mat]:
     return {f"g{i}": m for i, m in enumerate(gens)}
 
 
-def group_closure(gens, cap: int | None = None) -> FiniteGroupClosure:
+def group_closure(gens) -> FiniteGroupClosure:
     """BFS closure from the identity under right multiplication.
 
     Raises GroupInfinite on a non-torsion element or when the closure
@@ -65,9 +65,7 @@ def group_closure(gens, cap: int | None = None) -> FiniteGroupClosure:
             raise ValueError(f"generator {label!r} is not {n}x{n}")
         if rank(m) != n:
             raise NonInvertibleGenerator(f"generator {label!r} is singular")
-    cap = math.factorial(2 * n) if cap is None else cap
-
-    witness, status, word = _bfs(generators.items(), cap, torsion=True,
+    witness, status, word = _bfs(generators.items(), math.factorial(2 * n), torsion=True,
                                  identity=Mat.identity(n))
     if status != "finite":
         raise GroupInfinite(word)
@@ -129,7 +127,7 @@ def hnf(B: Mat) -> Mat:
     return Mat(_hnf_rows(B.int_rows(), B.cols), cols=B.cols)
 
 
-def integerize(G: FiniteGroupClosure, verify: bool = True) -> Mat:
+def integerize(G: FiniteGroupClosure) -> Mat:
     """A matrix C with C*M*inverse(C) integral of determinant +-1 for every
     M in G.
 
@@ -146,10 +144,9 @@ def integerize(G: FiniteGroupClosure, verify: bool = True) -> Mat:
     if len(rows) != n:
         raise GroupInfinite(None)
     C = Fraction(1, d) * Mat(rows, cols=n)
-    if verify:
-        Cinv = inverse(C)
-        for m in G.witness:
-            conj = C * m * Cinv
-            if not conj.is_integral() or abs(det(conj)) != 1:
-                raise GroupInfinite(None)
+    Cinv = inverse(C)
+    for m in G.witness:
+        conj = C * m * Cinv
+        if not conj.is_integral() or abs(det(conj)) != 1:
+            raise GroupInfinite(None)
     return C

@@ -93,8 +93,11 @@ def _bfs(letters, cap: int, torsion: bool, identity: Mat | None = None):
     each insertion; with `torsion`, each admitted element is tested by
     `is_torsion`. Returns the store (in insertion order), a status
     ("finite", "exceeded_cap" or "infinite") and, unless finite, the word
-    that hit the cap or names a non-torsion element.
+    that hit the cap or names a non-torsion element. A cap below 1 is
+    refused: it admits nothing, so it can give no verdict.
     """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     store: dict[Mat, Word] = {}
     if identity is not None:
         store[identity] = ()
@@ -125,8 +128,6 @@ def _letters(table: MorphismTable) -> list:
 def closure(table: MorphismTable, cap: int | None = None) -> ClosureResult:
     """Breadth-first closure of the generated semigroup, by word length."""
     cap = default_cap() if cap is None else cap
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     witness, status, _ = _bfs(_letters(table), cap, torsion=False)
     return ClosureResult(table.n, witness, status, cap)
 

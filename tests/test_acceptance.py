@@ -18,10 +18,10 @@ from pathlib import Path
 
 import pytest
 
-from semiforge import (CycleFrame, Mat, WeightedAutomaton, build_image_graph,
-                       closure, cycle_rep, decide_wa_finiteness,
-                       evaluate, group_closure, integerize, inverse, is_torsion,
-                       length_bound, minimize, rank, rho)
+from semiforge import (Mat, WeightedAutomaton, build_image_graph, closure,
+                       cycle_rep, decide_wa_finiteness, evaluate, group_closure,
+                       integerize, inverse, is_torsion, length_bound, minimize,
+                       rank)
 from semiforge.cli import main as cli_main
 from semiforge.linalg import det
 from conftest import (ROT90, all_words, bfs_distance, companion, cyclotomic,
@@ -174,15 +174,13 @@ def test_criterion_4_structure_lemmas(capsys):
 
             # cycle representation: multiplicativity and the cycle identity
             for V, words in _self_cycles(G).items():
-                frame = CycleFrame(V)
                 heads = [a for a in table.alphabet if G.letter_image[a] == V]
                 for w1 in words:
-                    rep1 = cycle_rep(table, frame, w1)
+                    m1 = cycle_rep(table, V, w1)
                     for w2 in words:
-                        rep2 = cycle_rep(table, frame, w2)
-                        combined = cycle_rep(table, frame, w1 + w2)
-                        assert combined.mprime == rep1.mprime * rep2.mprime
-                    power = table.evaluate(w1 * rho(rep1))
+                        assert cycle_rep(table, V, w1 + w2) == m1 * cycle_rep(table, V, w2)
+                    # rho, the cycle's order: the order of the group it generates
+                    power = table.evaluate(w1 * group_closure({"c": m1}).order)
                     for a in heads:
                         m0 = table.mapping[a]
                         assert m0 * power == m0
@@ -226,7 +224,7 @@ def test_criterion_5_integerization(capsys):
             Ti = inverse(T)
             conjugated = [Ti * g * T for g in gens]
             H = group_closure(conjugated)
-            C = integerize(H, verify=False)
+            C = integerize(H)
             Cinv = inverse(C)
             for m in H.witness:
                 image_m = C * m * Cinv

@@ -188,6 +188,20 @@ class TestOutputOption:
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["length_bound"] == "128"
 
+    def test_unwritable_output_is_exit_1(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        assert main(["bound", "--n", "2", "--output", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}") and "Traceback" not in err
+        assert not target.exists()
+
+    def test_unwritable_dot_is_exit_1(self, capsys, rot90_file, tmp_path):
+        target = tmp_path / "missing" / "g.dot"
+        assert main(["image-graph", str(rot90_file), "--dot", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}")
+
 
 def test_deterministic_output(capsys, rot90_file):
     _, first = run(capsys, "closure", rot90_file)

@@ -22,6 +22,10 @@ CASES = {
     "image_graph": (0, ["image-graph", "rank2_rational.json"]),
     "shorten": (0, ["shorten", "mixed_rank3_rational.json",
                     "--word", "qpraaaqapaarraparaaparapapqrpaqpapqaaapr"]),
+    "shorten_equal_rank_sccs": (0, ["shorten", "rank2_rational.json",
+                                    "--word", "pqpqqpqppqqqpqpqpqqps"]),
+    "shorten_group": (0, ["shorten", "dihedral_rational.json",
+                          "--word", "aabbbababaaababbbaabab"]),
     "wa_finite": (0, ["wa-finite", "automaton_rational.json"]),
     "vass_fmp_finite": (0, ["vass-fmp", "vass_finite.json"]),
     "vass_fmp_infinite": (0, ["vass-fmp", "vass_shear.json"]),

@@ -34,9 +34,17 @@ class TestGroupClosure:
         assert exc.value.witness == ("g0",)
 
     def test_cap_triggers_infinite(self):
-        # finite of order 8, but a cap of 3 certifies nothing and raises
-        with pytest.raises(GroupInfinite):
-            group_closure(signed_perm_generators(2), cap=3)
+        # 30 distinct rational reflections [[x, y], [y, -x]] are each of
+        # order 2, but a finite subgroup of GL(2,Q) has at most (2*2)! = 24
+        # elements: the 24th stored element hits the cap, which certifies
+        # an infinite group
+        reflections = []
+        for t in range(1, 31):
+            x, y = F(1 - t * t, 1 + t * t), F(2 * t, 1 + t * t)
+            reflections.append(mat([[x, y], [y, -x]]))
+        with pytest.raises(GroupInfinite) as exc:
+            group_closure(reflections)
+        assert exc.value.witness == ("g23",)
 
     def test_named_generators(self):
         H = group_closure({"r": ROT90})
@@ -155,7 +163,7 @@ class TestIntegerize:
             T = random_invertible(rng, base.rows)
             g = inverse(T) * base * T
             H = group_closure([g])
-            C = integerize(H, verify=True)
+            C = integerize(H)
             Cinv = inverse(C)
             for m in H.witness:
                 conj = C * m * Cinv

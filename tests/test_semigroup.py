@@ -254,6 +254,13 @@ class TestDecideFiniteness:
         t = table_from([ROT90, PROJ_X])
         assert decide_finiteness(t, cap=2).status == "exceeded_cap"
 
+    def test_cap_below_one_is_refused(self):
+        # every caller of the BFS refuses it alike, not only closure()
+        t = table_from([ROT90, PROJ_X])
+        for cap in (0, -1):
+            with pytest.raises(ValueError):
+                decide_finiteness(t, cap=cap)
+
 
 def _mostly_monomial_row(rng, n):
     """A signed unit row or zero, or now and then any {0, 1, -1} row, so

@@ -2,41 +2,48 @@ import random
 
 import pytest
 
-from semiforge import (CapExceeded, CycleFrame, InfiniteSemigroup, Mat,
+from semiforge import (CapExceeded, GroupInfinite, InfiniteSemigroup, Mat,
                        NotACycle, Shortener, build_image_graph, cycle_rep,
-                       image, reduce_cycles, rho, shorten, shorten_max_rank,
-                       shorten_within_scc)
-from semiforge.shortener import OrderCapExceeded
+                       group_closure, image, shorten)
 from conftest import (PROJ_X, ROT90, all_words, mat, random_equal_rank_table,
                       table_from)
+
+# the rotation and a reflection of the xy-plane in Q^3, both of rank 2 with
+# that plane as image: their words stay in one SCC of the image graph
+ROT_PLANE = mat([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
+REFLECT_PLANE = mat([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
 
 
 def rotation_table():
     return table_from({"a": ROT90})
 
 
+def rho(table, base, word) -> int:
+    """The cycle's order: appending the cycle that many times after any
+    word with matching image is a no-op."""
+    return group_closure({"c": cycle_rep(table, base, word)}).order
+
+
 class TestCycleRep:
     def test_full_rank_cycle(self):
         t = rotation_table()
-        frame = CycleFrame(image(ROT90))
-        rep = cycle_rep(t, frame, ("a",))
-        assert rep.mprime == ROT90
-        assert rep.mprime * frame.P == frame.P * ROT90
+        base = image(ROT90)
+        m = cycle_rep(t, base, ("a",))
+        assert m == ROT90
+        assert m * base.basis == base.basis * ROT90
 
     def test_rank_one_cycle(self):
         # scaling projection: the cycle acts on the base line as [2]
         t = table_from({"a": mat([[2, 0], [0, 0]])})
-        frame = CycleFrame(image(t.mapping["a"]))
-        rep = cycle_rep(t, frame, ("a",))
-        assert rep.mprime == mat([[2]])
+        assert cycle_rep(t, image(t.mapping["a"]), ("a",)) == mat([[2]])
 
     def test_rejects_non_cycles(self):
         t = table_from({"a": PROJ_X, "b": mat([[0, 0], [0, 1]])})
-        frame = CycleFrame(image(PROJ_X))
+        base = image(PROJ_X)
         with pytest.raises(NotACycle):
-            cycle_rep(t, frame, ())
+            cycle_rep(t, base, ())
         with pytest.raises(NotACycle):
-            cycle_rep(t, frame, ("b",))  # wrong image
+            cycle_rep(t, base, ("b",))  # wrong image
 
     def test_multiplicative_on_composed_cycles(self):
         rng = random.Random(41)
@@ -46,13 +53,11 @@ class TestCycleRep:
             G = build_image_graph(table)
             cycles = _self_cycles(G)
             for V, words in cycles.items():
-                frame = CycleFrame(V)
                 for w1 in words:
                     for w2 in words:
-                        m1 = cycle_rep(table, frame, w1).mprime
-                        m2 = cycle_rep(table, frame, w2).mprime
-                        m12 = cycle_rep(table, frame, w1 + w2).mprime
-                        assert m12 == m1 * m2
+                        m1 = cycle_rep(table, V, w1)
+                        m2 = cycle_rep(table, V, w2)
+                        assert cycle_rep(table, V, w1 + w2) == m1 * m2
                         checked += 1
         assert checked >= 30
 
@@ -77,15 +82,15 @@ def _self_cycles(G, limit=3):
 
 
 class TestRho:
+    """rho, the order of a cycle's matrix, as the order of the cyclic
+    group the matrix generates."""
+
     def test_rotation_order(self):
-        t = rotation_table()
-        rep = cycle_rep(t, CycleFrame(image(ROT90)), ("a",))
-        assert rho(rep) == 4
+        assert rho(rotation_table(), image(ROT90), ("a",)) == 4
 
     def test_identity_cycle(self):
         t = table_from({"a": Mat.identity(2)})
-        rep = cycle_rep(t, CycleFrame(image(Mat.identity(2))), ("a",))
-        assert rho(rep) == 1
+        assert rho(t, image(Mat.identity(2)), ("a",)) == 1
 
     def test_cycle_identity_after_matching_image(self):
         # M(w0) * M(w)^rho = M(w0) whenever im(w0) is the base space
@@ -97,8 +102,7 @@ class TestRho:
             for V, words in _self_cycles(G).items():
                 heads = [a for a in table.alphabet if G.letter_image[a] == V]
                 for w in words:
-                    rep = cycle_rep(table, CycleFrame(V), w)
-                    power = table.evaluate(w * rho(rep))
+                    power = table.evaluate(w * rho(table, V, w))
                     for a in heads:
                         m0 = table.mapping[a]
                         assert m0 * power == m0
@@ -106,58 +110,59 @@ class TestRho:
         assert checked >= 30
 
     def test_order_cap(self):
+        # the cycle acts on its base line as [2], which has no finite order
         t = table_from({"a": mat([[2, 0], [0, 0]])})
-        rep = cycle_rep(t, CycleFrame(image(t.mapping["a"])), ("a",))
-        with pytest.raises(OrderCapExceeded):
-            rho(rep)
+        with pytest.raises(GroupInfinite):
+            rho(t, image(t.mapping["a"]), ("a",))
 
 
 class TestReduceCycles:
+    """A run of cycles around one base space collapses to a group word."""
+
     def test_rotations_cancel(self):
-        t = rotation_table()
-        frame = CycleFrame(image(ROT90))
-        assert reduce_cycles(t, frame, [("a",)] * 4) == []
-        picked = reduce_cycles(t, frame, [("a",)] * 5)
-        assert picked == [("a",)]
-        assert reduce_cycles(t, frame, []) == []
+        s = Shortener(table_from({"a": ROT_PLANE}))
+        assert s.shorten(("a",) * 5) == ("a",)
+        assert s.shorten(("a",) * 9) == ("a",)
+        assert s.shorten(()) == ()
 
     def test_matches_product(self):
-        t = rotation_table()
-        frame = CycleFrame(image(ROT90))
-        for reps in range(1, 9):
-            cycles = [("a",)] * reps
-            picked = reduce_cycles(t, frame, cycles)
-            lhs = t.evaluate(tuple(x for w in picked for x in w) or ("a",) * 4)
-            rhs = t.evaluate(("a",) * (reps % 4 or 4))
-            assert lhs == rhs
-            assert len(picked) <= 3
+        t = table_from({"a": ROT_PLANE})
+        s = Shortener(t)
+        for reps in range(1, 13):
+            u = s.shorten(("a",) * reps)
+            assert t.evaluate(u) == t.evaluate(("a",) * reps)
+            # the head letter, then at most 3 rotations
+            assert u == ("a",) * (reps % 4 or 4)
 
 
 class TestShortenWithinScc:
     def test_projection_loop(self):
-        t = table_from({"a": PROJ_X})
-        G = build_image_graph(t)
-        u = shorten_within_scc(G, "a", ("a",) * 6)
-        assert t.evaluate(("a",) + u) == t.evaluate(("a",) * 7)
-        assert len(u) <= 6
+        # both letters project away the z-axis; a loop in their one SCC
+        # keeps its head letter, then a word in the dihedral group of order 8
+        t = table_from({"a": ROT_PLANE, "b": REFLECT_PLANE})
+        s = Shortener(t)
+        for word in all_words(("a", "b"), 7):
+            u = s.shorten(word)
+            assert u[0] == word[0]
+            assert t.evaluate(u) == t.evaluate(word)
+            assert len(u) <= min(len(word), 8)
 
 
 class TestShortenMaxRank:
     def test_idempotent_run(self):
-        t = table_from({"a": PROJ_X})
-        u = shorten_max_rank(t, ("a",) * 7)
-        assert u == ("a",)
+        assert shorten(table_from({"a": PROJ_X}), ("a",) * 7) == ("a",)
 
     def test_preserves_value_randomized(self):
         rng = random.Random(47)
         for _ in range(20):
             table, r = random_equal_rank_table(rng, letters=2)
             G = build_image_graph(table)
+            s = Shortener(table)
             for _ in range(5):
                 word = _random_walk(rng, G)
                 if word is None:
                     continue
-                u = shorten_max_rank(table, word)
+                u = s.shorten(word)
                 assert table.evaluate(u) == table.evaluate(word)
                 assert len(u) <= len(word)
 
