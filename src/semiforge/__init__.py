@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .linalg import (Mat, Subspace, det, image, inverse, kernel,
                      minimal_polynomial, rank, rref,
                      DimensionMismatch, NotInvertible)
-from .exterior import MultiVector, iota, trivial_intersection, wedge
+from .exterior import trivial_intersection
 from .semigroup import (BoundReport, ClosureResult, FinitenessResult,
                         MorphismTable, CapExceeded, NotMember,
                         closure, decide_finiteness, default_cap, is_torsion,

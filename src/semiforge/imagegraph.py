@@ -1,10 +1,12 @@
 """The directed labelled graph of rank-r image subspaces.
 
 Vertices are the images of rank-r words, edges (V, a, im a) exist exactly
-when V meets ker a trivially (tested through the exterior-algebra
-embedding). Since the edge label determines the edge target, the graph is
-stored as per-vertex letter maps. SCC indices are assigned in reverse
-topological order of the condensation.
+when V meets ker a trivially, that is when x -> x*M(a) is injective on V,
+which is tested as rank(basis(V) * M(a)) == r. A rank-r prefix with image
+V keeps rank r under a exactly when that edge exists, so rank questions
+about words are walks in the graph. Since the edge label determines the
+edge target, the graph is stored as per-vertex letter maps. SCC indices
+are assigned in reverse topological order of the condensation.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .exterior import trivial_intersection
-from .linalg import Mat, Subspace, image, kernel, rank
+from .linalg import Subspace, image, rank
 from .semigroup import MorphismTable, Word
 
 
@@ -35,7 +36,6 @@ class ImageGraph:
     rank: int
     vertices: tuple[Subspace, ...]
     letter_image: dict[str, Subspace]
-    letter_kernel: dict[str, Subspace]
     out: dict[Subspace, dict[str, Subspace]]
     scc_id: dict[Subspace, int]
     num_sccs: int
@@ -98,7 +98,6 @@ def build_image_graph(table: MorphismTable) -> ImageGraph:
     r = distinct.pop()
 
     letter_image = {a: image(table.mapping[a]) for a in table.alphabet}
-    letter_kernel = {a: kernel(table.mapping[a]) for a in table.alphabet}
 
     vertices: list[Subspace] = []
     seen: set[Subspace] = set()
@@ -115,7 +114,7 @@ def build_image_graph(table: MorphismTable) -> ImageGraph:
         i += 1
         adjacency = {}
         for a in table.alphabet:
-            if trivial_intersection(V, letter_kernel[a]):
+            if rank(V.basis * table.mapping[a]) == r:
                 W = letter_image[a]
                 adjacency[a] = W
                 if W not in seen:
@@ -135,8 +134,8 @@ def build_image_graph(table: MorphismTable) -> ImageGraph:
         for w in out[v].values()
         if scc_id[v] != scc_id[w]
     )
-    return ImageGraph(table, r, tuple(vertices), letter_image, letter_kernel,
-                      out, scc_id, len(components), condensation)
+    return ImageGraph(table, r, tuple(vertices), letter_image, out, scc_id,
+                      len(components), condensation)
 
 
 def scc_shortest_path(G: ImageGraph, V1: Subspace, V2: Subspace) -> Word:
@@ -166,26 +165,28 @@ def scc_shortest_path(G: ImageGraph, V1: Subspace, V2: Subspace) -> Word:
 
 def scc_segment_decompose(G: ImageGraph, word) -> list[tuple[str, Word]]:
     """Split a rank-r word into maximal runs of letters whose images share
-    an SCC; consecutive runs lie in different SCCs."""
+    an SCC; consecutive runs lie in different SCCs. Raises RankDropped
+    naming the first prefix whose rank is below r."""
     word = tuple(word)
     if not word:
         raise ValueError("word must be nonempty")
-    m = Mat.identity(G.table.n)
-    for i, a in enumerate(word):
-        m = m * G.table.mapping[a]
-        if rank(m) != G.rank:
-            raise RankDropped(f"prefix {word[:i + 1]!r} leaves rank {G.rank}")
+    # the image of each rank-r prefix is a vertex; the next letter keeps
+    # rank r exactly when it labels an edge out of that vertex
     segments: list[tuple[str, Word]] = []
-    head = word[0]
-    current = G.scc_id[G.letter_image[head]]
-    body: list[str] = []
-    for a in word[1:]:
-        cid = G.scc_id[G.letter_image[a]]
-        if cid == current:
+    head, body = word[0], []
+    V = G.letter_image[head]
+    for i, a in enumerate(word[1:], 2):
+        W = G.out[V].get(a)
+        if W is None:
+            if a not in G.letter_image:
+                raise KeyError(a)
+            raise RankDropped(f"prefix {word[:i]!r} leaves rank {G.rank}")
+        if G.scc_id[W] == G.scc_id[V]:
             body.append(a)
         else:
             segments.append((head, tuple(body)))
-            head, current, body = a, cid, []
+            head, body = a, []
+        V = W
     segments.append((head, tuple(body)))
     assert len(segments) <= 2 * comb(G.table.n, G.rank)
     return segments

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from .grouplat import GroupInfinite, group_closure, short_product
 from .imagegraph import ImageGraph, build_image_graph, scc_segment_decompose, scc_shortest_path
-from .linalg import Mat, Subspace, image, inverse, kernel, rank
-from .exterior import trivial_intersection
+from .linalg import Mat, Subspace, image, inverse, rank
 from .semigroup import CapExceeded, MorphismTable, Word, decide_finiteness, default_cap
 
 
@@ -37,10 +36,13 @@ def cycle_rep(table: MorphismTable, base: Subspace, word) -> Mat:
     mw = table.evaluate(word)
     if image(mw) != base:
         raise NotACycle(f"image of {word!r} is not the base space")
-    if not trivial_intersection(base, kernel(mw)):
+    # rows of P*M(w) lie in the base space; coordinates() checks that too.
+    # M'*P = P*M(w) and P has full row rank, so M' is singular exactly when
+    # M(w) kills part of the base space
+    m = base.coordinates(base.basis * mw)
+    if rank(m) < base.dim:
         raise NotACycle(f"{word!r} kills part of the base space")
-    # rows of P*M(w) lie in the base space; coordinates() checks that too
-    return base.coordinates(base.basis * mw)
+    return m
 
 
 class Shortener:
@@ -88,10 +90,11 @@ class Shortener:
         if not word:
             return ()
         table = G.table
+        table_key = table.key()
         base = G.letter_image[a]
 
         def sp(x: str, y: str) -> Word:
-            key = (table.key(), G.letter_image[x].basis, G.letter_image[y].basis)
+            key = (table_key, G.letter_image[x].basis, G.letter_image[y].basis)
             if key not in self.paths:
                 self.paths[key] = scc_shortest_path(G, G.letter_image[x], G.letter_image[y])
             return self.paths[key]
@@ -149,7 +152,8 @@ class Shortener:
         n = table.n
         if r == n:
             # every letter of the word is invertible; use the group route
-            letters = tuple(a for a in table.alphabet if a in set(word))
+            used = set(word)
+            letters = tuple(a for a in table.alphabet if a in used)
             u = self._group_word(tuple((a, table.mapping[a]) for a in letters), value)
             return word if len(word) < len(u) else u
 

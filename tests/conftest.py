@@ -6,8 +6,8 @@ iteration or by the minimal polynomial (the library's former route)
 instead of the characteristic-polynomial certificate, and graph
 distances by a plain dictionary BFS. Subspace intersection is the exception: the
 library tests it by the rank of the stacked bases, as the oracle here
-does, so the tests also compare it with the wedge-product embedding of
-`semiforge.exterior`.
+does, so the tests also compare it with the wedge-product embedding in
+`tests/oracles.py`, which also keeps other former library code as oracles.
 """
 
 import itertools

@@ -1,0 +1,148 @@
+"""Former library code kept as independent oracles for the tests.
+
+- The exterior algebra of Q^n (`MultiVector`, `wedge`, `iota`): the
+  paper's embedding of a subspace as the wedge of its canonical basis
+  rows. Two subspaces intersect trivially iff the wedge of their
+  embeddings is nonzero; the library decides that by a rank instead.
+- `prefix_scan_decompose`: the SCC segmentation as it was before it
+  became a walk on the image graph. It multiplies out every prefix and
+  checks its rank.
+- `kernel_edges`: the image graph's edges from explicit kernels, as
+  `build_image_graph` once computed them.
+"""
+
+from fractions import Fraction
+from typing import Sequence
+
+from semiforge import Mat, Subspace, kernel, rank, trivial_intersection
+from semiforge.exterior import AmbientMismatch
+from semiforge.imagegraph import RankDropped
+from semiforge.linalg import _frac
+
+
+class MultiVector:
+    """Element of the exterior algebra of Q^n, homogeneous of one grade.
+
+    Coefficients are kept on strictly increasing index tuples (0-based
+    column indices); absent tuples are zero.
+    """
+
+    __slots__ = ("ambient", "grade", "coeffs")
+
+    def __init__(self, ambient: int, grade: int, coeffs: dict | None = None):
+        self.ambient = ambient
+        self.grade = grade
+        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
+
+    @classmethod
+    def unit(cls, ambient: int) -> "MultiVector":
+        return cls(ambient, 0, {(): Fraction(1)})
+
+    @classmethod
+    def from_row(cls, row: Sequence) -> "MultiVector":
+        row = tuple(_frac(x) for x in row)
+        return cls(len(row), 1, {(i,): x for i, x in enumerate(row) if x})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other):
+        return (isinstance(other, MultiVector)
+                and self.ambient == other.ambient
+                and self.grade == other.grade
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.ambient, self.grade, frozenset(self.coeffs.items())))
+
+    def __repr__(self):
+        return f"MultiVector(n={self.ambient}, grade={self.grade}, {self.coeffs!r})"
+
+
+def _merge_indices(a: tuple, b: tuple):
+    """Merge two sorted index tuples; sign is the parity of the shuffle.
+
+    Returns (None, 0) when an index repeats.
+    """
+    if set(a) & set(b):
+        return None, 0
+    merged = []
+    sign = 1
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if a[i] < b[j]:
+            merged.append(a[i])
+            i += 1
+        else:
+            merged.append(b[j])
+            if (len(a) - i) % 2:
+                sign = -sign
+            j += 1
+    merged.extend(a[i:])
+    merged.extend(b[j:])
+    return tuple(merged), sign
+
+
+def wedge(u: MultiVector, v: MultiVector) -> MultiVector:
+    if u.ambient != v.ambient:
+        raise AmbientMismatch(f"ambient {u.ambient} vs {v.ambient}")
+    grade = u.grade + v.grade
+    if grade > u.ambient:
+        return MultiVector(u.ambient, grade)
+    out: dict = {}
+    for ku, cu in u.coeffs.items():
+        for kv, cv in v.coeffs.items():
+            key, sign = _merge_indices(ku, kv)
+            if key is None:
+                continue
+            acc = out.get(key, 0) + sign * cu * cv
+            if acc:
+                out[key] = acc
+            else:
+                out.pop(key, None)
+    return MultiVector(u.ambient, grade, out)
+
+
+def iota(W: Subspace) -> MultiVector:
+    """Wedge of the canonical basis rows; the zero subspace maps to the
+    grade-0 unit."""
+    result = MultiVector.unit(W.ambient_dim)
+    for row in W.basis.data:
+        result = wedge(result, MultiVector.from_row(row))
+    return result
+
+
+def prefix_scan_decompose(G, word):
+    """scc_segment_decompose by products: every prefix is multiplied out
+    and must keep rank G.rank; then letters are grouped by the SCC of
+    their image."""
+    word = tuple(word)
+    if not word:
+        raise ValueError("word must be nonempty")
+    m = Mat.identity(G.table.n)
+    for i, a in enumerate(word):
+        m = m * G.table.mapping[a]
+        if rank(m) != G.rank:
+            raise RankDropped(f"prefix {word[:i + 1]!r} leaves rank {G.rank}")
+    segments = []
+    head = word[0]
+    current = G.scc_id[G.letter_image[head]]
+    body = []
+    for a in word[1:]:
+        cid = G.scc_id[G.letter_image[a]]
+        if cid == current:
+            body.append(a)
+        else:
+            segments.append((head, tuple(body)))
+            head, current, body = a, cid, []
+    segments.append((head, tuple(body)))
+    return segments
+
+
+def kernel_edges(G):
+    """The edge set {(V, a): V meets ker M(a) trivially} over the vertices
+    of G, computed from left kernels."""
+    kernels = {a: kernel(G.table.mapping[a]) for a in G.table.alphabet}
+    return {(V, a) for V in G.vertices for a in G.table.alphabet
+            if trivial_intersection(V, kernels[a])}

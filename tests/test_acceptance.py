@@ -301,7 +301,8 @@ def test_criterion_6_torsion_oracle(capsys):
 
 def test_criterion_7_exterior_equivalence(capsys):
     with _report(capsys, "criterion 7: intersection test matches the rank and wedge oracles exhaustively (n=3)"):
-        from semiforge import Subspace, iota, trivial_intersection, wedge
+        from semiforge import Subspace, trivial_intersection
+        from oracles import iota, wedge
         vectors = [v for v in itertools.product((0, 1), repeat=3) if any(v)]
         spaces = {}
         for r in range(len(vectors) + 1):

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from semiforge import MultiVector, Subspace, iota, trivial_intersection, wedge
-from semiforge.exterior import AmbientMismatch, _merge_indices
+from semiforge import Subspace, trivial_intersection
+from semiforge.exterior import AmbientMismatch
 from conftest import rank_oracle_trivial
+from oracles import MultiVector, _merge_indices, iota, wedge
 
 F = Fraction
 

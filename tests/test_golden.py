@@ -3,7 +3,8 @@
 Each case runs one subcommand on an input under tests/golden/ and
 compares stdout byte for byte with tests/golden/expected/<case>.json,
 so any change in verdicts, witness words, element order or rational
-formatting shows up here.
+formatting shows up here. The GraphViz file of `image-graph --dot` is
+compared the same way with tests/golden/expected/image_graph.dot.
 """
 
 from pathlib import Path
@@ -41,3 +42,11 @@ def test_output_is_byte_identical(case, capsys):
     assert main(argv) == code
     expected = (GOLDEN / "expected" / f"{case}.json").read_text()
     assert capsys.readouterr().out == expected
+
+
+def test_dot_file_is_byte_identical(tmp_path, capsys):
+    # the --dot file is the one image-graph output the cases above do not see
+    dot = tmp_path / "image_graph.dot"
+    assert main(["image-graph", str(GOLDEN / "rank2_rational.json"), "--dot", str(dot)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "expected" / "image_graph.json").read_text()
+    assert dot.read_bytes() == (GOLDEN / "expected" / "image_graph.dot").read_bytes()

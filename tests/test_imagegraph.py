@@ -3,11 +3,12 @@ from math import comb
 
 import pytest
 
-from semiforge import (MixedRankGenerators, NotSameSCC, RankDropped,
-                       build_image_graph, image, scc_segment_decompose,
+from semiforge import (Mat, MixedRankGenerators, NotSameSCC, RankDropped,
+                       build_image_graph, image, inverse, scc_segment_decompose,
                        scc_shortest_path, to_dot)
-from conftest import (PROJ_X, PROJ_Y, ROT90, bfs_distance, mat,
+from conftest import (PROJ_X, PROJ_Y, ROT90, bfs_distance, mat, random_invertible,
                       random_equal_rank_table, table_from)
+from oracles import kernel_edges, prefix_scan_decompose
 
 
 def two_projection_table():
@@ -161,3 +162,63 @@ def test_vertices_are_reachable_images():
             assert v.dim == r
         for a in table.alphabet:
             assert image(table.mapping[a]) in G.vertices
+
+
+# ------------------------------------------- differential against oracles
+
+def differential_tables(rng):
+    """Equal-rank tables at 0 < r < n, r = n and r = 0, each followed by a
+    rational conjugate C*M*C^-1 of itself."""
+    tables = [random_equal_rank_table(rng)[0] for _ in range(30)]
+    tables += [random_equal_rank_table(rng, n=n, r=n, letters=2)[0]
+               for n in (1, 2, 3) for _ in range(2)]
+    tables += [table_from({"a": Mat.zeros(n, n)}) for n in (1, 2, 3)]
+    for table in list(tables):
+        C = random_invertible(rng, table.n, max_num=2, max_den=3)
+        Ci = inverse(C)
+        tables.append(table_from({a: C * m * Ci for a, m in table.mapping.items()}))
+    return tables
+
+
+def outcome(decompose, G, word):
+    try:
+        return "segments", decompose(G, word)
+    except RankDropped as exc:
+        return "dropped", str(exc)
+    except KeyError as exc:
+        return "unknown", exc.args
+
+
+class TestWalkMatchesPrefixScan:
+    def test_same_segments_or_same_message(self):
+        rng = random.Random(53)
+        seen = {"segments": 0, "dropped": 0}
+        for table in differential_tables(rng):
+            G = build_image_graph(table)
+            words = [random_walk_word(rng, G, max_len=12) for _ in range(8)]
+            words += [tuple(rng.choice(table.alphabet) for _ in range(rng.randint(1, 10)))
+                      for _ in range(12)]
+            for word in words:
+                expected = outcome(prefix_scan_decompose, G, word)
+                assert outcome(scc_segment_decompose, G, word) == expected
+                seen[expected[0]] += 1
+        assert seen["segments"] >= 400 and seen["dropped"] >= 150
+
+    def test_unknown_letter_is_key_error_anywhere(self):
+        rng = random.Random(59)
+        for table in differential_tables(rng)[:10]:
+            G = build_image_graph(table)
+            word = random_walk_word(rng, G)
+            for i in range(len(word) + 1):
+                bad = word[:i] + ("z",) + word[i:]
+                assert outcome(scc_segment_decompose, G, bad) == ("unknown", ("z",))
+                assert outcome(prefix_scan_decompose, G, bad) == ("unknown", ("z",))
+
+
+def test_edges_match_kernel_oracle():
+    rng = random.Random(61)
+    for table in differential_tables(rng):
+        G = build_image_graph(table)
+        assert {(V, a) for V in G.vertices for a in G.out[V]} == kernel_edges(G)
+        for V in G.vertices:
+            assert all(W == G.letter_image[a] for a, W in G.out[V].items())

@@ -45,6 +45,13 @@ class TestCycleRep:
         with pytest.raises(NotACycle):
             cycle_rep(t, base, ("b",))  # wrong image
 
+    def test_rejects_cycle_that_kills_the_base(self):
+        # b maps e2 to e1 and kills e1: its image is the base line
+        # span(e1) = im(a), but it sends that line to 0
+        t = table_from({"a": mat([[1, 0], [0, 0]]), "b": mat([[0, 0], [1, 0]])})
+        with pytest.raises(NotACycle, match="kills part of the base space"):
+            cycle_rep(t, image(t.mapping["a"]), ("b",))
+
     def test_multiplicative_on_composed_cycles(self):
         rng = random.Random(41)
         checked = 0
