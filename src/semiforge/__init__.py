@@ -12,9 +12,9 @@ from .linalg import (Mat, Subspace, det, image, inverse, kernel,
                      minimal_polynomial, rank, rref,
                      DimensionMismatch, NotInvertible)
 from .exterior import trivial_intersection
-from .semigroup import (BoundReport, ClosureResult, FinitenessResult,
+from .semigroup import (DEFAULT_CAP, BoundReport, ClosureResult, FinitenessResult,
                         MorphismTable, CapExceeded, NotMember,
-                        closure, decide_finiteness, default_cap, is_torsion,
+                        closure, decide_finiteness, is_torsion,
                         length_bound, shortest_word_for, size_bound)
 from .grouplat import (FiniteGroupClosure, GroupInfinite, NonInvertibleGenerator,
                        group_closure, hnf, integerize, short_product)

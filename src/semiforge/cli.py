@@ -17,7 +17,7 @@ from . import __version__
 from .grouplat import GroupInfinite, NonInvertibleGenerator, group_closure, integerize
 from .imagegraph import MixedRankGenerators, build_image_graph, to_dot
 from .linalg import inverse
-from .semigroup import (CapExceeded, closure, decide_finiteness, default_cap,
+from .semigroup import (DEFAULT_CAP, CapExceeded, closure, decide_finiteness,
                         g_upper_bound, length_bound, size_bound)
 from .serialize import (ParseError, automaton_from_json, generators_from_json,
                         matrix_to_json, parse_word, vass_from_json, word_to_str)
@@ -60,13 +60,17 @@ def _at_least(value, flag: str, minimum: int):
 
 
 def _cap(value) -> int:
-    """--cap when given, else SEMIFORGE_CAP or the default; at least 1."""
+    """--cap when given, else SEMIFORGE_CAP when set, else DEFAULT_CAP; at
+    least 1. The only place the environment variable is read."""
     if value is not None:
         return _at_least(value, "--cap", 1)
+    text = os.environ.get("SEMIFORGE_CAP")
+    if text is None:
+        return DEFAULT_CAP
     try:
-        return _at_least(default_cap(), "SEMIFORGE_CAP", 1)
+        return _at_least(int(text), "SEMIFORGE_CAP", 1)
     except ValueError:
-        raise CliError(f"SEMIFORGE_CAP must be an integer, got {os.environ['SEMIFORGE_CAP']!r}")
+        raise CliError(f"SEMIFORGE_CAP must be an integer, got {text!r}")
 
 
 def _witness_listing(result) -> list:
@@ -112,11 +116,8 @@ def cmd_closure(args) -> tuple[int, dict]:
 
 
 def cmd_shorten(args) -> tuple[int, dict]:
-    path = args.input or args.generators
-    if path is None or (args.input and args.generators):
-        raise CliError("give the generators file once (positionally or via --generators)")
     cap = _cap(args.cap)
-    table = generators_from_json(_load_json(path))
+    table = generators_from_json(_load_json(args.input))
     word = parse_word(args.word, table.alphabet)
     try:
         u = shorten(table, word, assume_finite=args.assume_finite, cap=cap)
@@ -268,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int)
 
     p = add("shorten", cmd_shorten, help="rewrite a word as a short equal-value product")
-    p.add_argument("input", nargs="?")
-    p.add_argument("--generators")
+    p.add_argument("input")
     p.add_argument("--word", required=True)
     p.add_argument("--cap", type=int)
     p.add_argument("--assume-finite", action="store_true")

@@ -91,13 +91,12 @@ def _tarjan(vertices, neighbors):
 
 
 def build_image_graph(table: MorphismTable) -> ImageGraph:
-    ranks = {a: rank(table.mapping[a]) for a in table.alphabet}
+    letter_image = {a: image(table.mapping[a]) for a in table.alphabet}
+    ranks = {a: V.dim for a, V in letter_image.items()}
     distinct = set(ranks.values())
     if len(distinct) != 1:
         raise MixedRankGenerators(f"generator ranks {ranks!r} are not all equal")
     r = distinct.pop()
-
-    letter_image = {a: image(table.mapping[a]) for a in table.alphabet}
 
     vertices: list[Subspace] = []
     seen: set[Subspace] = set()

@@ -305,10 +305,6 @@ class Subspace:
     def contains(self, v: Sequence) -> bool:
         return _pivot_read(self, Mat.row_vector(v)) is not None
 
-    def coords(self, v: Sequence) -> tuple:
-        """Coefficients of v in the RREF basis; raises if v is outside."""
-        return self.coordinates(Mat.row_vector(v)).data[0]
-
     def __eq__(self, other):
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from operator import mul
 
@@ -24,8 +23,7 @@ class CapExceeded(RuntimeError):
     """The closure cap was hit before reaching a verdict."""
 
 
-def default_cap() -> int:
-    return int(os.environ.get("SEMIFORGE_CAP", "1000000"))
+DEFAULT_CAP = 1_000_000
 
 
 @dataclass
@@ -69,7 +67,6 @@ class ClosureResult:
     n: int
     witness: dict[Mat, Word]
     status: str
-    cap: int
 
     def __len__(self) -> int:
         return len(self.witness)
@@ -125,11 +122,10 @@ def _letters(table: MorphismTable) -> list:
     return [(a, table.mapping[a]) for a in table.alphabet]
 
 
-def closure(table: MorphismTable, cap: int | None = None) -> ClosureResult:
+def closure(table: MorphismTable, cap: int = DEFAULT_CAP) -> ClosureResult:
     """Breadth-first closure of the generated semigroup, by word length."""
-    cap = default_cap() if cap is None else cap
     witness, status, _ = _bfs(_letters(table), cap, torsion=False)
-    return ClosureResult(table.n, witness, status, cap)
+    return ClosureResult(table.n, witness, status)
 
 
 def _totient(k: int) -> int:
@@ -278,20 +274,19 @@ class FinitenessResult:
     witness: Word | None = None
 
 
-def decide_finiteness(table: MorphismTable, cap: int | None = None) -> FinitenessResult:
+def decide_finiteness(table: MorphismTable, cap: int = DEFAULT_CAP) -> FinitenessResult:
     """Interleave BFS closure with the torsion test.
 
     Total for finite semigroups (the BFS closes) and for infinite ones (a
     non-torsion element appears, by McNaughton-Zalcstein); the cap is a
     safety net that yields "exceeded_cap" without a verdict.
     """
-    cap = default_cap() if cap is None else cap
     witness, status, word = _bfs(_letters(table), cap, torsion=True)
     if status == "infinite":
         return FinitenessResult("infinite", witness=word)
     if status == "exceeded_cap":
         return FinitenessResult("exceeded_cap")
-    return FinitenessResult("finite", closure=ClosureResult(table.n, witness, "finite", cap))
+    return FinitenessResult("finite", closure=ClosureResult(table.n, witness, "finite"))
 
 
 def g_upper_bound(n: int) -> int:
@@ -300,17 +295,6 @@ def g_upper_bound(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return math.factorial(2 * n)
-
-
-def g_signed_permutations(n: int) -> int:
-    """2^n * n!, the order of the signed permutation group.
-
-    Equals the true maximum finite subgroup order exactly when n is not in
-    {2,4,6,7,8,9,10}; informational only, never used in bounds here.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 2 ** n * math.factorial(n)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .grouplat import GroupInfinite, group_closure, short_product
 from .imagegraph import ImageGraph, build_image_graph, scc_segment_decompose, scc_shortest_path
 from .linalg import Mat, Subspace, image, inverse, rank
-from .semigroup import CapExceeded, MorphismTable, Word, decide_finiteness, default_cap
+from .semigroup import DEFAULT_CAP, CapExceeded, MorphismTable, Word, decide_finiteness
 
 
 class NotACycle(ValueError):
@@ -53,15 +53,14 @@ class Shortener:
     of the rank recursion reuse entries."""
 
     def __init__(self, table: MorphismTable, assume_finite: bool = False,
-                 cap: int | None = None):
+                 cap: int = DEFAULT_CAP):
         self.table = table
-        self.cap = default_cap() if cap is None else cap
         if not assume_finite:
-            verdict = decide_finiteness(table, self.cap)
+            verdict = decide_finiteness(table, cap)
             if verdict.status == "infinite":
                 raise InfiniteSemigroup(verdict.witness)
             if verdict.status == "exceeded_cap":
-                raise CapExceeded(f"no finiteness verdict within cap {self.cap}")
+                raise CapExceeded(f"no finiteness verdict within cap {cap}")
         self.graphs: dict = {}
         self.groups: dict = {}
         self.mprimes: dict = {}
@@ -195,5 +194,5 @@ class Shortener:
 
 
 def shorten(table: MorphismTable, word, assume_finite: bool = False,
-            cap: int | None = None) -> Word:
+            cap: int = DEFAULT_CAP) -> Word:
     return Shortener(table, assume_finite=assume_finite, cap=cap).shorten(word)

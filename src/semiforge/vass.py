@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .linalg import Mat
-from .semigroup import FinitenessResult, MorphismTable, decide_finiteness
+from .semigroup import DEFAULT_CAP, FinitenessResult, MorphismTable, decide_finiteness
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def transition_matrices(V: AffineVass) -> MorphismTable:
     return MorphismTable(V.d, tuple(mapping), mapping)
 
 
-def check_fmp(V: AffineVass, cap: int | None = None) -> FinitenessResult:
+def check_fmp(V: AffineVass, cap: int = DEFAULT_CAP) -> FinitenessResult:
     """Finite monoid property: is the semigroup of update matrices finite?"""
     if not V.transitions:
         return FinitenessResult("finite")

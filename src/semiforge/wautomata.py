@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Mat, Subspace, _frac, image, stack
-from .semigroup import FinitenessResult, MorphismTable, decide_finiteness
+from .semigroup import DEFAULT_CAP, FinitenessResult, MorphismTable, decide_finiteness
 
 
 class UnknownLetter(KeyError):
@@ -101,7 +101,7 @@ def minimize(A: WeightedAutomaton) -> WeightedAutomaton:
     return reverse(_forward_restrict(reverse(_forward_restrict(A))))
 
 
-def decide_wa_finiteness(A: WeightedAutomaton, cap: int | None = None) -> FinitenessResult:
+def decide_wa_finiteness(A: WeightedAutomaton, cap: int = DEFAULT_CAP) -> FinitenessResult:
     """Whether the value set {alpha*M(w)*eta^T} is finite.
 
     Minimizes first; on the minimal automaton, finiteness of the value set

@@ -188,10 +188,15 @@ def signed_partial_perm(rng, n, r):
 
 
 def random_equal_rank_table(rng, n=None, r=None, letters=None):
-    """A finite morphism table whose generators all have one fixed rank."""
+    """A finite morphism table whose generators all have one fixed rank.
+    Refuses more letters than there are distinct signed partial
+    permutations of that shape, which the draw below could never reach."""
     n = n if n is not None else rng.choice((2, 3))
     r = r if r is not None else rng.randint(1, n - 1)
     letters = letters if letters is not None else rng.choice((2, 2, 3))
+    distinct = math.comb(n, r) ** 2 * math.factorial(r) * 2 ** r
+    if letters > distinct:
+        raise ValueError(f"only {distinct} signed partial permutations of rank {r} in dimension {n}")
     mapping = {}
     while len(mapping) < letters:
         m = signed_partial_perm(rng, n, r)

@@ -1,6 +1,5 @@
 """`Subspace.coordinates`: the one pivot-column coordinate read, shared by
-`Subspace.coords`, `shortener.cycle_rep` and weighted-automaton
-minimization."""
+`shortener.cycle_rep` and weighted-automaton minimization."""
 
 from fractions import Fraction
 

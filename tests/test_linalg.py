@@ -106,9 +106,9 @@ class TestSubspace:
 
     def test_coords_roundtrip(self):
         w = Subspace.from_rows(3, [[1, 0, 2], [0, 1, 3]])
-        assert w.coords([2, 1, 7]) == (F(2), F(1))
+        assert w.coordinates(Mat.row_vector([2, 1, 7])) == Mat.row_vector([2, 1])
         with pytest.raises(LinAlgError):
-            w.coords([0, 0, 1])
+            w.coordinates(Mat.row_vector([0, 0, 1]))
 
     def test_zero_and_full(self):
         assert Subspace.zero(3).dim == 0

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from semiforge import (DimensionMismatch, Mat, NotMember, closure, decide_finiteness,
-                       default_cap, is_torsion, length_bound, shortest_word_for,
-                       size_bound)
+                       is_torsion, length_bound, shortest_word_for, size_bound)
 from semiforge import polys, semigroup
 from semiforge.linalg import det, inverse
-from semiforge.semigroup import g_signed_permutations, g_upper_bound, _charpoly, _totient
+from semiforge.semigroup import g_upper_bound, _charpoly, _totient
 from conftest import (PROJ_X, PROJ_Y, ROT90, SHIFT_NILP, brute_closure,
                       companion, cyclotomic, mat, oracle_is_torsion,
                       power_iteration_torsion, table_from)
@@ -56,11 +55,10 @@ class TestClosure:
         t = table_from({"a": PROJ_X, "b": PROJ_X})
         assert len(closure(t)) == 1
 
-    def test_default_cap_env(self, monkeypatch):
-        monkeypatch.setenv("SEMIFORGE_CAP", "123")
-        assert default_cap() == 123
-        monkeypatch.delenv("SEMIFORGE_CAP")
-        assert default_cap() == 1000000
+    def test_library_ignores_cap_env(self, monkeypatch):
+        # only the command line reads SEMIFORGE_CAP
+        monkeypatch.setenv("SEMIFORGE_CAP", "1")
+        assert decide_finiteness(table_from([ROT90])).status == "finite"
 
     def test_shortest_word_for_rejects_nonmembers(self):
         result = closure(table_from([PROJ_X]))
@@ -311,10 +309,6 @@ class TestBounds:
         assert g_upper_bound(2) == 24
         with pytest.raises(ValueError):
             g_upper_bound(0)
-
-    def test_signed_permutation_order(self):
-        assert g_signed_permutations(1) == 2
-        assert g_signed_permutations(3) == 48
 
     def test_length_bound_values(self):
         assert length_bound(1).length_bound == 128

@@ -155,6 +155,15 @@ class TestShortenWithinScc:
             assert len(u) <= min(len(word), 8)
 
 
+def test_random_equal_rank_table_refuses_too_many_letters():
+    # n = 1, r = 1 has only [1] and [-1]; a third letter used to loop forever
+    rng = random.Random(0)
+    with pytest.raises(ValueError):
+        random_equal_rank_table(rng, n=1, r=1, letters=3)
+    table, r = random_equal_rank_table(rng, n=1, r=1, letters=2)
+    assert r == 1 and set(table.mapping.values()) == {mat([[1]]), mat([[-1]])}
+
+
 class TestShortenMaxRank:
     def test_idempotent_run(self):
         assert shorten(table_from({"a": PROJ_X}), ("a",) * 7) == ("a",)
