@@ -38,6 +38,8 @@ class AffineVass:
                 raise ValueError("transition matrices must be integral")
             if len(t.offset) != self.d:
                 raise ValueError("offset vector has wrong dimension")
+            if any(type(x) is not int for x in t.offset):
+                raise ValueError(f"offset entries must be integers: {t.offset!r}")
 
 
 @dataclass(frozen=True)
@@ -46,15 +48,35 @@ class Configuration:
     vector: tuple[int, ...]
 
 
-def _apply(t: Transition, v: tuple[int, ...]) -> tuple[int, ...]:
+def _by_source(V: AffineVass) -> dict[str, list]:
+    """Transitions by source state, in index order, as (index, matrix
+    rows, offset, target) with the rows sliced from the numerators."""
+    d, out = V.d, {s: [] for s in V.states}
+    for i, t in enumerate(V.transitions):
+        a = t.matrix.num
+        out[t.source].append((i, [a[r * d:(r + 1) * d] for r in range(d)], t.offset, t.target))
+    return out
+
+
+def _checked(V: AffineVass, c: Configuration) -> tuple[str, tuple[int, ...]]:
+    v = tuple(c.vector)
+    if c.state not in V.states:
+        raise ValueError(f"configuration state {c.state!r} is not in the model")
+    if len(v) != V.d or any(type(x) is not int for x in v):
+        raise ValueError(f"configuration vector must be {V.d} integers: {c.vector!r}")
+    return c.state, v
+
+
+def _successors(entries: list, v: tuple[int, ...]):
     # column-vector update: w = A*v + b, on the numerators (A is integral)
-    a, d = t.matrix.num, len(v)
-    return tuple(sum(map(mul, a[i * d:(i + 1) * d], v)) + b for i, b in enumerate(t.offset))
+    for i, rows, b, target in entries:
+        yield i, target, tuple([sum(map(mul, row, v)) + c for row, c in zip(rows, b)])
 
 
 def step(V: AffineVass, c: Configuration) -> list[Configuration]:
-    return [Configuration(t.target, _apply(t, c.vector))
-            for t in V.transitions if t.source == c.state]
+    """The successors of c, in transition-index order."""
+    state, v = _checked(V, c)
+    return [Configuration(target, w) for _, target, w in _successors(_by_source(V)[state], v)]
 
 
 def transition_matrices(V: AffineVass) -> MorphismTable:
@@ -86,26 +108,29 @@ def reach_bounded(V: AffineVass, source: Configuration, target: Configuration,
                   budget: int) -> ReachResult:
     """BFS over configurations, spending `budget` dequeues.
 
+    A returned path is a shortest one, ties broken by transition index
+    (the lexicographically least sequence of indices).
     Sound but deliberately incomplete: a returned path is genuine, but
-    exhausting the budget proves nothing.
+    exhausting the budget proves nothing. A configuration whose state is
+    not in V, or whose vector is not V.d ints, raises ValueError.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    if source == target:
+    start, goal = _checked(V, source), _checked(V, target)
+    if start == goal:
         return ReachResult("reached", ())
-    queue = deque([(source, ())])
-    visited = {source}
+    index = _by_source(V)
+    queue = deque([(start, ())])
+    visited = {start}
     spent = 0
     while queue and spent < budget:
-        c, path = queue.popleft()
+        (state, v), path = queue.popleft()
         spent += 1
-        for i, t in enumerate(V.transitions):
-            if t.source != c.state:
-                continue
-            nxt = Configuration(t.target, _apply(t, c.vector))
+        for i, nxt_state, w in _successors(index[state], v):
+            nxt = (nxt_state, w)
             if nxt in visited:
                 continue
-            if nxt == target:
+            if nxt == goal:
                 return ReachResult("reached", path + (i,))
             visited.add(nxt)
             queue.append((nxt, path + (i,)))

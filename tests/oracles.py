@@ -9,12 +9,18 @@
   checks its rank.
 - `kernel_edges`: the image graph's edges from explicit kernels, as
   `build_image_graph` once computed them.
+- `oracle_reach_bounded`: the VASS breadth-first search as it was before
+  it indexed the transitions by source state. Every dequeue scans all
+  transitions and builds a `Configuration` per successor.
 """
 
+from collections import deque
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from semiforge import Mat, Subspace, kernel, rank, trivial_intersection
+from semiforge import (Configuration, Mat, ReachResult, Subspace, kernel, rank,
+                       trivial_intersection)
 from semiforge.exterior import AmbientMismatch
 from semiforge.imagegraph import RankDropped
 from semiforge.linalg import _frac
@@ -146,3 +152,34 @@ def kernel_edges(G):
     kernels = {a: kernel(G.table.mapping[a]) for a in G.table.alphabet}
     return {(V, a) for V in G.vertices for a in G.table.alphabet
             if trivial_intersection(V, kernels[a])}
+
+
+def _apply(t, v):
+    # column-vector update: w = A*v + b, on the numerators (A is integral)
+    a, d = t.matrix.num, len(v)
+    return tuple(sum(map(mul, a[i * d:(i + 1) * d], v)) + b for i, b in enumerate(t.offset))
+
+
+def oracle_reach_bounded(V, source, target, budget):
+    """BFS over configurations, spending `budget` dequeues."""
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    if source == target:
+        return ReachResult("reached", ())
+    queue = deque([(source, ())])
+    visited = {source}
+    spent = 0
+    while queue and spent < budget:
+        c, path = queue.popleft()
+        spent += 1
+        for i, t in enumerate(V.transitions):
+            if t.source != c.state:
+                continue
+            nxt = Configuration(t.target, _apply(t, c.vector))
+            if nxt in visited:
+                continue
+            if nxt == target:
+                return ReachResult("reached", path + (i,))
+            visited.add(nxt)
+            queue.append((nxt, path + (i,)))
+    return ReachResult("not_within_budget")

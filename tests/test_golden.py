@@ -32,6 +32,10 @@ CASES = {
     "vass_fmp_infinite": (0, ["vass-fmp", "vass_shear.json"]),
     "vass_reach": (0, ["vass-reach", "vass_finite.json",
                        "--from", "p:0,0", "--to", "p:2,3", "--budget", "200"]),
+    "vass_reach_shear": (0, ["vass-reach", "vass_shear.json",
+                             "--from", "q:0,0", "--to", "q:3,2", "--budget", "500"]),
+    "vass_reach_budget": (0, ["vass-reach", "vass_shear.json",
+                              "--from", "q:0,0", "--to", "q:-4,9", "--budget", "2000"]),
 }
 
 

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from semiforge import (AffineVass, Configuration, Mat, Transition, check_fmp,
                        reach_bounded, step)
-from semiforge.vass import transition_matrices, _apply
+from semiforge.vass import transition_matrices
 from conftest import mat
+from oracles import oracle_reach_bounded
 
 
 def counter_machine():
@@ -33,16 +36,41 @@ class TestModel:
         with pytest.raises(ValueError):
             AffineVass(1, ("q",), (Transition("q", Mat.identity(1), (1, 2), "q"),))
 
+    @pytest.mark.parametrize("offset", [(0.5,), (True,), ("1",)])
+    def test_non_integer_offset_refused(self, offset):
+        with pytest.raises(ValueError, match="offset entries must be integers"):
+            AffineVass(1, ("q",), (Transition("q", Mat.identity(1), offset, "q"),))
+
     def test_step_applies_matrix_then_offset(self):
         V = two_state_machine()
-        successors = step(V, Configuration("p", (3, 5)))
-        assert Configuration("p", (4, 5)) in successors
-        assert Configuration("q", (5, 3)) in successors
+        # successors come in transition-index order
+        assert step(V, Configuration("p", (3, 5))) == [
+            Configuration("p", (4, 5)), Configuration("q", (5, 3))]
         assert step(V, Configuration("q", (0, 0))) == [Configuration("q", (0, -1))]
+        assert step(AffineVass(0, ("q",), ()), Configuration("q", ())) == []
 
     def test_apply_column_convention(self):
         t = Transition("q", mat([[2, 1], [0, 1]]), (0, 3), "q")
-        assert _apply(t, (1, 1)) == (3, 4)
+        V = AffineVass(2, ("q",), (t,))
+        assert step(V, Configuration("q", (1, 1))) == [Configuration("q", (3, 4))]
+
+    @pytest.mark.parametrize("config", [
+        Configuration("r", (0, 0)),       # state not in the model
+        Configuration("p", (7,)),         # too short: once read as (8, 0)
+        Configuration("p", (1, 2, 3)),    # too long: once truncated
+        Configuration("p", (0.5, 0)),     # floats are never coerced
+        Configuration("p", (True, 0)),    # nor bools
+        Configuration("p", ("1", 0)),
+    ])
+    def test_malformed_configuration_refused(self, config):
+        V = two_state_machine()
+        good = Configuration("p", (0, 0))
+        with pytest.raises(ValueError, match="configuration"):
+            step(V, config)
+        with pytest.raises(ValueError, match="configuration"):
+            reach_bounded(V, config, good, budget=10)
+        with pytest.raises(ValueError, match="configuration"):
+            reach_bounded(V, good, config, budget=10)
 
     def test_transition_matrices_dedupe(self):
         V = two_state_machine()
@@ -98,12 +126,70 @@ class TestReach:
         for i in result.path:
             t = V.transitions[i]
             assert t.source == c.state
-            c = Configuration(t.target, _apply(t, c.vector))
+            c = Configuration(t.target, oracle_apply(t, c.vector))
         assert c == target
 
 
-# `oracle_apply` is the Fraction loop `_apply` ran before it moved to
-# integer dot products.
+# ------------------------------------------- differential against the oracle
+
+def random_vass(rng):
+    """1-3 states, d = 0..3, up to 5 transitions whose matrices are zero,
+    identity or small random integers. The last state has no incoming
+    transition when there are at least two states."""
+    d = rng.randint(0, 3)
+    states = tuple(f"s{k}" for k in range(rng.randint(1, 3)))
+    targets = states[:-1] if len(states) > 1 else states
+    transitions = []
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.choice(("zero", "identity", "random", "random"))
+        if kind == "zero":
+            A = Mat.zeros(d, d)
+        elif kind == "identity":
+            A = Mat.identity(d)
+        else:
+            A = Mat([[rng.randint(-1, 2) for _ in range(d)] for _ in range(d)], cols=d)
+        offset = tuple(rng.randint(-2, 2) for _ in range(d))
+        transitions.append(Transition(rng.choice(states), A, offset, rng.choice(targets)))
+    return AffineVass(d, states, tuple(transitions))
+
+
+def random_target(rng, V, source):
+    """The source itself, the end of a short random walk, a random
+    configuration, or one in a state nothing enters."""
+    kind = rng.choice(("source", "walk", "walk", "random", "unentered"))
+    if kind == "source":
+        return source
+    if kind == "walk":
+        c = source
+        for _ in range(rng.randint(1, 6)):
+            out = [t for t in V.transitions if t.source == c.state]
+            if not out:
+                break
+            t = rng.choice(out)
+            c = Configuration(t.target, oracle_apply(t, c.vector))
+        return c
+    state = V.states[-1] if kind == "unentered" else rng.choice(V.states)
+    return Configuration(state, tuple(rng.randint(-3, 3) for _ in range(V.d)))
+
+
+def test_reach_matches_the_scanning_loop():
+    rng = random.Random(2019)
+    reached = 0
+    for _ in range(300):
+        V = random_vass(rng)
+        source = Configuration(rng.choice(V.states),
+                               tuple(rng.randint(-2, 2) for _ in range(V.d)))
+        target = random_target(rng, V, source)
+        for budget in (0, 1, 7, 300):
+            got = reach_bounded(V, source, target, budget)
+            want = oracle_reach_bounded(V, source, target, budget)
+            assert (got.status, got.path) == (want.status, want.path), (V, source, target, budget)
+            reached += got.status == "reached"
+    assert 200 < reached < 1000  # both answers are well represented
+
+
+# `oracle_apply` is the Fraction loop the successor rule ran before it
+# moved to integer dot products.
 
 def oracle_apply(t, v):
     return tuple(int(sum(t.matrix.data[i][j] * v[j] for j in range(len(v)))) + t.offset[i]
@@ -122,8 +208,6 @@ def transitions_and_vectors(draw):
 @given(transitions_and_vectors())
 def test_apply_matches_the_fraction_loop(case):
     t, v = case
-    w = _apply(t, v)
-    assert w == oracle_apply(t, v)
-    assert all(type(x) is int for x in w)
-    V = AffineVass(len(v), ("q",), (t,))
-    assert step(V, Configuration("q", v)) == [Configuration("q", w)]
+    (c,) = step(AffineVass(len(v), ("q",), (t,)), Configuration("q", v))
+    assert c == Configuration("q", oracle_apply(t, v))
+    assert all(type(x) is int for x in c.vector)
