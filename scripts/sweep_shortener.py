@@ -60,7 +60,7 @@ def run_sweep(config: SweepConfig) -> dict:
         shortener = Shortener(table, assume_finite=True)
         group_order = None
         if all(det(table.mapping[a]) != 0 for a in table.alphabet):
-            group_order = group_closure(table.mapping).order
+            group_order = group_closure(table).order
         best = {}
         values = {(): Mat.identity(2)}  # all_words yields each prefix first
         for word in all_words(table.alphabet, config.max_word_length):

@@ -13,15 +13,15 @@ from .linalg import (Mat, Subspace, det, image, inverse, kernel,
                      DimensionMismatch, NotInvertible)
 from .exterior import trivial_intersection
 from .semigroup import (DEFAULT_CAP, BoundReport, ClosureResult, FinitenessResult,
-                        MorphismTable, CapExceeded, NotMember,
+                        MorphismTable, CapExceeded, InfiniteSemigroup, NotMember,
                         closure, decide_finiteness, is_torsion,
                         length_bound, shortest_word_for, size_bound)
-from .grouplat import (FiniteGroupClosure, GroupInfinite, NonInvertibleGenerator,
-                       group_closure, hnf, integerize, short_product)
+from .grouplat import (FiniteGroupClosure, NonInvertibleGenerator, group_closure, hnf,
+                       integerize)
 from .imagegraph import (ImageGraph, MixedRankGenerators, NotSameSCC,
                          RankDropped, build_image_graph, scc_segment_decompose,
                          scc_shortest_path, to_dot)
-from .shortener import InfiniteSemigroup, NotACycle, Shortener, cycle_rep, shorten
+from .shortener import NotACycle, Shortener, cycle_rep, shorten
 from .wautomata import (UnknownLetter, WeightedAutomaton, backward_space,
                         decide_wa_finiteness, evaluate, forward_space, minimize)
 from .vass import (AffineVass, Configuration, ReachResult, Transition,

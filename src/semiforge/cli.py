@@ -14,15 +14,15 @@ import os
 import sys
 
 from . import __version__
-from .grouplat import GroupInfinite, NonInvertibleGenerator, group_closure, integerize
+from .grouplat import NonInvertibleGenerator, group_closure, integerize
 from .imagegraph import MixedRankGenerators, build_image_graph, to_dot
 from .linalg import inverse
-from .semigroup import (DEFAULT_CAP, CapExceeded, closure, decide_finiteness,
-                        g_upper_bound, length_bound, size_bound)
+from .semigroup import (DEFAULT_CAP, CapExceeded, InfiniteSemigroup, closure,
+                        decide_finiteness, g_upper_bound, length_bound, size_bound)
 from .serialize import (ParseError, automaton_from_json, generators_from_json,
                         matrix_to_json, parse_word, vass_from_json, word_to_str)
-from .shortener import InfiniteSemigroup, shorten
-from .vass import Configuration, check_fmp, reach_bounded
+from .shortener import shorten
+from .vass import Configuration, check_fmp, reach_bounded, transition_matrices
 from .wautomata import decide_wa_finiteness
 
 
@@ -73,8 +73,8 @@ def _cap(value) -> int:
         raise CliError(f"SEMIFORGE_CAP must be an integer, got {text!r}")
 
 
-def _witness_listing(result) -> list:
-    return [{"word": word_to_str(w), "matrix": matrix_to_json(m)}
+def _witness_listing(result, alphabet) -> list:
+    return [{"word": word_to_str(w, alphabet), "matrix": matrix_to_json(m)}
             for m, w in result.witness.items()]
 
 
@@ -82,25 +82,29 @@ def _exceeded(cap) -> tuple[int, dict]:
     return 2, {"status": "exceeded_cap", "cap": cap}
 
 
-def _verdict(verdict, cap) -> tuple[int, dict]:
+def _infinite(witness, alphabet) -> tuple[int, dict]:
+    return 0, {"status": "infinite",
+               "witness": None if witness is None else word_to_str(witness, alphabet)}
+
+
+def _verdict(verdict, cap, alphabet) -> tuple[int, dict]:
     """Exit code and JSON of a FinitenessResult, without the closure."""
     if verdict.status == "exceeded_cap":
         return _exceeded(cap)
-    out = {"status": verdict.status}
     if verdict.status == "infinite":
-        out["witness"] = word_to_str(verdict.witness)
-    return 0, out
+        return _infinite(verdict.witness, alphabet)
+    return 0, {"status": verdict.status}
 
 
 def cmd_finiteness(args) -> tuple[int, dict]:
     cap = _cap(args.cap)
     table = generators_from_json(_load_json(args.input))
     verdict = decide_finiteness(table, cap)
-    code, out = _verdict(verdict, cap)
+    code, out = _verdict(verdict, cap, table.alphabet)
     if verdict.status == "finite":
         out["count"] = len(verdict.closure)
         if args.witnesses:
-            out["elements"] = _witness_listing(verdict.closure)
+            out["elements"] = _witness_listing(verdict.closure, table.alphabet)
     return code, out
 
 
@@ -112,7 +116,7 @@ def cmd_closure(args) -> tuple[int, dict]:
         return _exceeded(cap)
     return 0, {"status": "finite", "count": len(result),
                "identity_expressible": result.identity_expressible,
-               "elements": _witness_listing(result)}
+               "elements": _witness_listing(result, table.alphabet)}
 
 
 def cmd_shorten(args) -> tuple[int, dict]:
@@ -122,13 +126,12 @@ def cmd_shorten(args) -> tuple[int, dict]:
     try:
         u = shorten(table, word, assume_finite=args.assume_finite, cap=cap)
     except InfiniteSemigroup as exc:
-        return 0, {"status": "infinite",
-                   "witness": word_to_str(exc.witness) if exc.witness else None}
+        return _infinite(exc.witness, table.alphabet)
     except CapExceeded:
         return _exceeded(cap)
     verified = table.evaluate(u) == table.evaluate(word)
     return 0, {"input_length": len(word),
-               "output_word": word_to_str(u),
+               "output_word": word_to_str(u, table.alphabet),
                "output_length": len(u),
                "bound": _bound_fields(table.n)["length_bound"],
                "verified": verified}
@@ -171,11 +174,10 @@ def cmd_bound(args) -> tuple[int, dict]:
 def cmd_integerize(args) -> tuple[int, dict]:
     table = generators_from_json(_load_json(args.input))
     try:
-        G = group_closure(table.mapping)
-    except GroupInfinite as exc:
-        return 0, {"status": "infinite",
-                   "witness": word_to_str(exc.witness) if exc.witness else None}
-    C = integerize(G)
+        G = group_closure(table)
+        C = integerize(G)
+    except InfiniteSemigroup as exc:
+        return _infinite(exc.witness, table.alphabet)
     Cinv = inverse(C)
     conjugated = {a: matrix_to_json(C * table.mapping[a] * Cinv) for a in table.alphabet}
     return 0, {"status": "finite", "order": G.order,
@@ -199,13 +201,13 @@ def cmd_image_graph(args) -> tuple[int, dict]:
 def cmd_wa_finite(args) -> tuple[int, dict]:
     cap = _cap(args.cap)
     A = automaton_from_json(_load_json(args.input))
-    return _verdict(decide_wa_finiteness(A, cap), cap)
+    return _verdict(decide_wa_finiteness(A, cap), cap, A.alphabet)
 
 
 def cmd_vass_fmp(args) -> tuple[int, dict]:
     cap = _cap(args.cap)
     V = vass_from_json(_load_json(args.input))
-    return _verdict(check_fmp(V, cap), cap)
+    return _verdict(check_fmp(V, cap), cap, transition_matrices(V).alphabet)
 
 
 def _parse_config(text: str, d: int) -> Configuration:

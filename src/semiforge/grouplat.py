@@ -1,83 +1,46 @@
 """Finite matrix group utilities: BFS group closure with shortest
-witnesses, short products in finite monoids, integer row-style Hermite
-normal form, and conjugation of a finite rational matrix group into
-GL(n,Z) via its invariant lattice.
+witnesses, integer row-style Hermite normal form, and conjugation of a
+finite rational matrix group into GL(n,Z) via its invariant lattice.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .linalg import Mat, inverse, rank, det
-from .semigroup import NotMember, Word, _bfs
+from .semigroup import ClosureResult, InfiniteSemigroup, MorphismTable, _bfs, _letters
 
 
 class NonInvertibleGenerator(ValueError):
     pass
 
 
-class GroupInfinite(Exception):
-    """Raised when a closure reveals the generated group is infinite."""
-
-    def __init__(self, witness: Word | None):
-        super().__init__(f"infinite group, witness {witness!r}")
-        self.witness = witness
-
-
-@dataclass
-class FiniteGroupClosure:
+class FiniteGroupClosure(ClosureResult):
     """Closure of a finite matrix group (monoid convention: the identity
     is always an element, with the empty witness)."""
-
-    n: int
-    generators: dict[str, Mat]
-    witness: dict[Mat, Word]
 
     @property
     def order(self) -> int:
         return len(self.witness)
 
-    def contains(self, A: Mat) -> bool:
-        return A in self.witness
 
-
-def _normalize_generators(gens) -> dict[str, Mat]:
-    if isinstance(gens, Mapping):
-        return dict(gens)
-    return {f"g{i}": m for i, m in enumerate(gens)}
-
-
-def group_closure(gens) -> FiniteGroupClosure:
+def group_closure(table: MorphismTable) -> FiniteGroupClosure:
     """BFS closure from the identity under right multiplication.
 
-    Raises GroupInfinite on a non-torsion element or when the closure
+    Raises InfiniteSemigroup on a non-torsion element or when the closure
     exceeds the (2n)! cap (either certifies infinitude).
     """
-    generators = _normalize_generators(gens)
-    if not generators:
-        raise ValueError("need at least one generator")
-    n = next(iter(generators.values())).rows
-    for label, m in generators.items():
-        if m.rows != n or m.cols != n:
-            raise ValueError(f"generator {label!r} is not {n}x{n}")
+    n, letters = table.n, _letters(table)
+    for a, m in letters:
         if rank(m) != n:
-            raise NonInvertibleGenerator(f"generator {label!r} is singular")
-    witness, status, word = _bfs(generators.items(), math.factorial(2 * n), torsion=True,
+            raise NonInvertibleGenerator(f"generator {a!r} is singular")
+    witness, status, word = _bfs(letters, math.factorial(2 * n), torsion=True,
                                  identity=Mat.identity(n))
     if status != "finite":
-        raise GroupInfinite(word)
-    return FiniteGroupClosure(n, generators, witness)
-
-
-def short_product(H: FiniteGroupClosure, target: Mat) -> Word:
-    """Shortest generator word for `target`; length is at most |H| - 1,
-    and 0 for the identity."""
-    if target not in H.witness:
-        raise NotMember("target is not in the closure")
-    return H.witness[target]
+        raise InfiniteSemigroup(word)
+    return FiniteGroupClosure(n, witness, "finite")
 
 
 def _hnf_rows(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
@@ -142,11 +105,11 @@ def integerize(G: FiniteGroupClosure) -> Mat:
         rows.extend([x * (d // m.den) for x in r] for r in m.int_rows())
         rows = _hnf_rows(rows, n)
     if len(rows) != n:
-        raise GroupInfinite(None)
+        raise InfiniteSemigroup()
     C = Fraction(1, d) * Mat(rows, cols=n)
     Cinv = inverse(C)
     for m in G.witness:
         conj = C * m * Cinv
         if not conj.is_integral() or abs(det(conj)) != 1:
-            raise GroupInfinite(None)
+            raise InfiniteSemigroup()
     return C

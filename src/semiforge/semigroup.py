@@ -23,6 +23,15 @@ class CapExceeded(RuntimeError):
     """The closure cap was hit before reaching a verdict."""
 
 
+class InfiniteSemigroup(RuntimeError):
+    """The generated semigroup or group is infinite; `witness`, when known,
+    is a word over the caller's letters."""
+
+    def __init__(self, witness: Word | None = None):
+        super().__init__(f"semigroup is infinite (witness {witness!r})")
+        self.witness = witness
+
+
 DEFAULT_CAP = 1_000_000
 
 

@@ -97,6 +97,8 @@ def generators_from_json(obj) -> MorphismTable:
         raise ParseError("'generators' must be a nonempty object")
     mapping = {}
     for name in gens:
+        if name == "" or "," in name:
+            raise ParseError(f"generator name {name!r} is empty or contains ','")
         m = matrix_from_json(gens[name], context=f"generator {name!r}")
         if m.rows != n:
             raise ParseError(f"generator {name!r} is not {n}x{n}")
@@ -172,6 +174,11 @@ def vass_from_json(obj) -> AffineVass:
         raise ParseError(str(exc)) from exc
 
 
+def _joined(alphabet) -> bool:
+    """Whether words over `alphabet` are written without commas."""
+    return all(len(a) == 1 for a in alphabet)
+
+
 def parse_word(text: str, alphabet) -> tuple:
     """A word from CLI text: comma-separated letters, or one character per
     letter when every alphabet letter is a single character."""
@@ -180,7 +187,7 @@ def parse_word(text: str, alphabet) -> tuple:
     letters = set(alphabet)
     if "," in text:
         parts = tuple(text.split(","))
-    elif all(len(a) == 1 for a in letters):
+    elif _joined(alphabet):
         parts = tuple(text)
     else:
         parts = (text,)
@@ -190,7 +197,6 @@ def parse_word(text: str, alphabet) -> tuple:
     return parts
 
 
-def word_to_str(word) -> str:
-    if all(len(a) == 1 for a in word):
-        return "".join(word)
-    return ",".join(word)
+def word_to_str(word, alphabet) -> str:
+    """The text parse_word reads back as `word`, a word over `alphabet`."""
+    return ("" if _joined(alphabet) else ",").join(word)

@@ -11,20 +11,20 @@ the computed word).
 
 from __future__ import annotations
 
-from .grouplat import GroupInfinite, group_closure, short_product
+from .grouplat import group_closure
 from .imagegraph import ImageGraph, build_image_graph, scc_segment_decompose, scc_shortest_path
 from .linalg import Mat, Subspace, image, inverse, rank
-from .semigroup import DEFAULT_CAP, CapExceeded, MorphismTable, Word, decide_finiteness
+from .semigroup import (DEFAULT_CAP, CapExceeded, InfiniteSemigroup, MorphismTable, Word,
+                        decide_finiteness, shortest_word_for)
 
 
 class NotACycle(ValueError):
     pass
 
 
-class InfiniteSemigroup(RuntimeError):
-    def __init__(self, witness: Word | None = None):
-        super().__init__(f"semigroup is infinite (witness {witness!r})")
-        self.witness = witness
+def _spell(word: Word, labels: dict) -> Word:
+    """`word` with each label replaced by the word it stands for."""
+    return tuple(x for label in word for x in labels[label])
 
 
 def cycle_rep(table: MorphismTable, base: Subspace, word) -> Mat:
@@ -76,12 +76,10 @@ class Shortener:
     def _group_word(self, gens: tuple, target: Mat) -> Word:
         """Shortest word over the (label, invertible matrix) pairs `gens`
         for `target`, at most |group| - 1 letters."""
-        try:
-            if gens not in self.groups:
-                self.groups[gens] = group_closure(dict(gens))
-            return short_product(self.groups[gens], target)
-        except GroupInfinite as exc:
-            raise InfiniteSemigroup(exc.witness) from exc
+        if gens not in self.groups:
+            labels = tuple(a for a, _ in gens)
+            self.groups[gens] = group_closure(MorphismTable(target.rows, labels, dict(gens)))
+        return shortest_word_for(self.groups[gens], target)
 
     def _within_scc(self, G: ImageGraph, a: str, word: Word) -> Word:
         """Rewrite a path that stays in the SCC of im(a): same value after
@@ -127,7 +125,11 @@ class Shortener:
         tail = sp(a, word[-1])
         gens = tuple(sorted((label, m) for m, (label, _) in cycles.items()))
         label_word = dict(cycles.values())
-        u = tuple(x for label in self._group_word(gens, target) for x in label_word[label]) + tail
+        try:
+            u = _spell(self._group_word(gens, target), label_word) + tail
+        except InfiniteSemigroup as exc:
+            # a non-torsion M' makes M(w) non-torsion: P*M(w)^k = M'^k*P
+            raise InfiniteSemigroup(_spell(exc.witness, label_word)) from None
         assert table.evaluate((a,) + u) == table.evaluate((a,) + word)
         return word if len(word) < len(u) else u
 
@@ -186,9 +188,12 @@ class Shortener:
             derived_word.append(derived[m][0])
         sub_table = MorphismTable(n, tuple(name for name, _ in derived.values()),
                                   {name: m for m, (name, _) in derived.items()})
-        x = self._max_rank(sub_table, tuple(derived_word))
         replacement = dict(derived.values())
-        u = short_prefix + tuple(letter for b in x for letter in replacement[b])
+        try:
+            x = self._max_rank(sub_table, tuple(derived_word))
+        except InfiniteSemigroup as exc:
+            raise InfiniteSemigroup(_spell(exc.witness, replacement)) from None
+        u = short_prefix + _spell(x, replacement)
         assert table.evaluate(u) == value
         return word if len(word) < len(u) else u
 

@@ -180,7 +180,7 @@ def test_criterion_4_structure_lemmas(capsys):
                     for w2 in words:
                         assert cycle_rep(table, V, w1 + w2) == m1 * cycle_rep(table, V, w2)
                     # rho, the cycle's order: the order of the group it generates
-                    power = table.evaluate(w1 * group_closure({"c": m1}).order)
+                    power = table.evaluate(w1 * group_closure(table_from({"c": m1})).order)
                     for a in heads:
                         m0 = table.mapping[a]
                         assert m0 * power == m0
@@ -223,7 +223,7 @@ def test_criterion_5_integerization(capsys):
             T = random_invertible(rng, n, max_num=3, max_den=5)
             Ti = inverse(T)
             conjugated = [Ti * g * T for g in gens]
-            H = group_closure(conjugated)
+            H = group_closure(table_from(conjugated))
             C = integerize(H)
             Cinv = inverse(C)
             for m in H.witness:

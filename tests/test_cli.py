@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from semiforge import length_bound, size_bound
+from semiforge import is_torsion, length_bound, size_bound
 from semiforge.semigroup import g_upper_bound
 from semiforge.cli import build_parser, main
+from semiforge.serialize import generators_from_json, matrix_to_json, parse_word
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -28,6 +29,16 @@ def shear_file(tmp_path):
         "n": 2,
         "generators": {"a": {"n": 2, "entries": [["1", "1"], ["0", "1"]]}},
     }))
+    return str(path)
+
+
+def gens_file(tmp_path, mats) -> str:
+    """A generators file for letter -> integer rows."""
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({
+        "n": len(next(iter(mats.values()))),
+        "generators": {a: {"entries": [[str(x) for x in row] for row in rows]}
+                       for a, rows in mats.items()}}))
     return str(path)
 
 
@@ -105,6 +116,41 @@ class TestShorten:
         code, out = run(capsys, "shorten", shear_file, "--word", "aa")
         assert code == 0
         assert out["status"] == "infinite"
+
+    def test_assume_finite_witness_is_in_the_input_letters(self, capsys, tmp_path):
+        # the infinitude shows in a group closure over the shortener's cycle
+        # labels, such as "c1"; the witness is spelled in the file's letters
+        path = gens_file(tmp_path, {"a": [[2, 0], [0, 0]], "b": [[1, 0], [0, 0]]})
+        code, out = run(capsys, "shorten", path, "--word", "abab", "--assume-finite")
+        assert code == 0 and out["status"] == "infinite"
+        table = generators_from_json(json.loads(Path(path).read_text()))
+        assert not is_torsion(table.evaluate(parse_word(out["witness"], table.alphabet)))
+
+
+class TestWordText:
+    """Printed words read back through parse_word, also when one letter's
+    name is the concatenation of others."""
+
+    MATS = {"a": [[-1, 0], [0, 1]], "b": [[1, 0], [0, -1]], "ab": [[0, 1], [1, 0]]}
+
+    def test_shorten_output_reads_back(self, capsys, tmp_path):
+        path = gens_file(tmp_path, self.MATS)
+        table = generators_from_json(json.loads(Path(path).read_text()))
+        code, out = run(capsys, "shorten", path, "--word", "a,b,a,b,a,b")
+        assert code == 0 and out["output_word"] == "a,b"
+        word = parse_word(out["output_word"], table.alphabet)
+        assert table.evaluate(word) == table.evaluate(("a", "b") * 3)
+
+    def test_closure_words_read_back(self, capsys, tmp_path):
+        path = gens_file(tmp_path, self.MATS)
+        table = generators_from_json(json.loads(Path(path).read_text()))
+        code, out = run(capsys, "closure", path)
+        assert code == 0
+        words = [e["word"] for e in out["elements"]]
+        assert len(set(words)) == len(words)
+        for e in out["elements"]:
+            value = table.evaluate(parse_word(e["word"], table.alphabet))
+            assert matrix_to_json(value) == e["matrix"]
 
 
 class TestBound:
@@ -411,6 +457,11 @@ class TestStrictShapes:
          "transition 0: matrix is not 1x1"),
         ("vass-fmp", {**_VASS, "d": "1"}, "'d' must be a JSON integer, got '1'"),
         ("wa-finite", {**_AUTOMATON, "alpha": 5}, "'alpha' must be a JSON list, got 5"),
+        # "" would print as the empty word, and "," splits word text
+        ("finiteness", {**_GENERATORS, "generators": {"": {"entries": [["1"]]}}},
+         "generator name '' is empty or contains ','"),
+        ("shorten", {**_GENERATORS, "generators": {"a,b": {"entries": [["1"]]}}},
+         "generator name 'a,b' is empty or contains ','"),
     ])
     def test_malformed_shape_is_a_parse_error(self, capsys, tmp_path, command, doc, message):
         path = tmp_path / "input.json"

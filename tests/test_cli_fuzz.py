@@ -3,7 +3,8 @@
 Each subcommand gets small JSON documents, well formed or with one part
 replaced by arbitrary JSON or deleted, and is run in-process through
 `main`. Whatever the document, the exit code is 0, 1 or 2, nothing
-escapes as a traceback, and exits 0 and 2 print one JSON document.
+escapes as a traceback, and exits 0 and 2 print one JSON document. The
+words printed on exit 0 read back to the values they stand for.
 """
 
 import json
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from semiforge.cli import main
+from semiforge.serialize import generators_from_json, matrix_to_json, parse_word
 
 small = st.integers(-3, 3)
 rational = st.one_of(small, st.sampled_from(["1/2", "-3/2", "2/3", " 1 ", "0"]))
@@ -21,7 +23,8 @@ junk = st.recursive(
     lambda inner: st.one_of(st.lists(inner, max_size=3),
                             st.dictionaries(st.text(max_size=2), inner, max_size=3)),
     max_leaves=6)
-letters = st.lists(st.sampled_from("ab"), min_size=1, max_size=2, unique=True)
+# "ab" next to "a" and "b": joined word text would be ambiguous
+letters = st.lists(st.sampled_from(["a", "b", "ab"]), min_size=1, max_size=3, unique=True)
 
 
 def grid(n, entry):
@@ -124,6 +127,23 @@ COMMANDS = {
 }
 
 
+def _words_read_back(doc, args, out):
+    """Every word printed by finiteness, closure or shorten reads back
+    through parse_word to a word whose value is the printed matrix, or the
+    shortened input."""
+    table = generators_from_json(doc)
+
+    def value(text):
+        return table.evaluate(parse_word(text, table.alphabet))
+
+    for element in out.get("elements", ()):
+        assert matrix_to_json(value(element["word"])) == element["matrix"]
+    if "output_word" in out:
+        assert value(out["output_word"]) == value(args[1])
+    if out.get("witness") is not None:
+        value(out["witness"])
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -149,6 +169,8 @@ def test_every_input_ends_in_a_documented_exit_code(command, workdir, capsys):
         if code == 1:
             assert captured.out == "" and captured.err.startswith("error: ")
         else:
-            json.loads(captured.out)
+            out = json.loads(captured.out)
+            if code == 0 and command in ("finiteness", "closure", "shorten"):
+                _words_read_back(doc, args, out)
 
     check()

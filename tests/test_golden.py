@@ -18,8 +18,10 @@ GOLDEN = Path(__file__).parent / "golden"
 # case -> (exit code, argv with the input file name first after the subcommand)
 CASES = {
     "finiteness_witnesses": (0, ["finiteness", "dihedral_rational.json", "--witnesses"]),
+    "finiteness_infinite": (0, ["finiteness", "involutions_rational.json"]),
     "closure": (0, ["closure", "rotation_projection.json"]),
     "integerize": (0, ["integerize", "signed_perm3_rational.json"]),
+    "integerize_infinite": (0, ["integerize", "involutions_rational.json"]),
     "image_graph": (0, ["image-graph", "rank2_rational.json"]),
     "shorten": (0, ["shorten", "mixed_rank3_rational.json",
                     "--word", "qpraaaqapaarraparaaparapapqrpaqpapqaaapr"]),
@@ -27,6 +29,7 @@ CASES = {
                                     "--word", "pqpqqpqppqqqpqpqpqqps"]),
     "shorten_group": (0, ["shorten", "dihedral_rational.json",
                           "--word", "aabbbababaaababbbaabab"]),
+    "shorten_infinite": (0, ["shorten", "involutions_rational.json", "--word", "rsrs"]),
     "wa_finite": (0, ["wa-finite", "automaton_rational.json"]),
     "vass_fmp_finite": (0, ["vass-fmp", "vass_finite.json"]),
     "vass_fmp_infinite": (0, ["vass-fmp", "vass_shear.json"]),

@@ -3,35 +3,38 @@ from fractions import Fraction
 
 import pytest
 
-from semiforge import (Mat, GroupInfinite, NotMember, group_closure, hnf,
-                       integerize, inverse, short_product)
+from semiforge import (InfiniteSemigroup, Mat, MorphismTable, NotMember, group_closure,
+                       hnf, integerize, inverse, shortest_word_for)
 from semiforge.grouplat import NonInvertibleGenerator
 from semiforge.linalg import det
 from conftest import (PROJ_X, ROT90, mat, random_invertible,
-                      rotation_generator, signed_perm_generators)
+                      rotation_generator, signed_perm_generators, table_from)
 
 F = Fraction
 
 
 class TestGroupClosure:
     def test_cyclic_rotation_group(self):
-        H = group_closure([ROT90])
+        H = group_closure(table_from([ROT90]))
         assert H.order == 4
         assert H.contains(Mat.identity(2))
         assert H.witness[Mat.identity(2)] == ()
 
     def test_signed_permutation_groups(self):
-        assert group_closure(signed_perm_generators(2)).order == 8
-        assert group_closure(signed_perm_generators(3)).order == 48
+        assert group_closure(table_from(signed_perm_generators(2))).order == 8
+        assert group_closure(table_from(signed_perm_generators(3))).order == 48
+
+    def test_empty_table_is_the_trivial_group(self):
+        assert group_closure(MorphismTable(2, (), {})).order == 1
 
     def test_rejects_singular_generator(self):
         with pytest.raises(NonInvertibleGenerator):
-            group_closure([PROJ_X])
+            group_closure(table_from([PROJ_X]))
 
     def test_infinite_group_raises(self):
-        with pytest.raises(GroupInfinite) as exc:
-            group_closure([mat([[1, 1], [0, 1]])])
-        assert exc.value.witness == ("g0",)
+        with pytest.raises(InfiniteSemigroup) as exc:
+            group_closure(table_from([mat([[1, 1], [0, 1]])]))
+        assert exc.value.witness == ("a",)
 
     def test_cap_triggers_infinite(self):
         # 30 distinct rational reflections [[x, y], [y, -x]] are each of
@@ -42,28 +45,29 @@ class TestGroupClosure:
         for t in range(1, 31):
             x, y = F(1 - t * t, 1 + t * t), F(2 * t, 1 + t * t)
             reflections.append(mat([[x, y], [y, -x]]))
-        with pytest.raises(GroupInfinite) as exc:
-            group_closure(reflections)
-        assert exc.value.witness == ("g23",)
+        with pytest.raises(InfiniteSemigroup) as exc:
+            group_closure(table_from(reflections))
+        assert exc.value.witness == ("x",)
 
     def test_named_generators(self):
-        H = group_closure({"r": ROT90})
-        assert short_product(H, ROT90) == ("r",)
+        H = group_closure(table_from({"r": ROT90}))
+        assert shortest_word_for(H, ROT90) == ("r",)
 
 
 class TestShortProduct:
     def test_lengths_within_order(self):
-        H = group_closure(signed_perm_generators(3))
+        table = table_from(signed_perm_generators(3))
+        H = group_closure(table)
         for m in H.witness:
-            w = short_product(H, m)
+            w = shortest_word_for(H, m)
             assert len(w) <= H.order - 1
-            assert H.generators and all(a in H.generators for a in w)
-        assert short_product(H, Mat.identity(3)) == ()
+            assert table.alphabet and all(a in table.alphabet for a in w)
+        assert shortest_word_for(H, Mat.identity(3)) == ()
 
     def test_rejects_outsider(self):
-        H = group_closure([ROT90])
+        H = group_closure(table_from([ROT90]))
         with pytest.raises(NotMember):
-            short_product(H, mat([[2, 0], [0, 2]]))
+            shortest_word_for(H, mat([[2, 0], [0, 2]]))
 
 
 class TestHnf:
@@ -140,14 +144,14 @@ class TestHnf:
 
 class TestIntegerize:
     def test_already_integral_group(self):
-        H = group_closure([ROT90])
+        H = group_closure(table_from([ROT90]))
         C = integerize(H)
         assert C == Mat.identity(2)
 
     def test_conjugated_rotation(self):
         T = mat([[1, 0], [0, 2]])
         g = inverse(T) * ROT90 * T
-        H = group_closure([g])
+        H = group_closure(table_from([g]))
         C = integerize(H)
         for m in H.witness:
             conj = C * m * inverse(C)
@@ -162,7 +166,7 @@ class TestIntegerize:
                 base = rng.choice(signed_perm_generators(3))
             T = random_invertible(rng, base.rows)
             g = inverse(T) * base * T
-            H = group_closure([g])
+            H = group_closure(table_from([g]))
             C = integerize(H)
             Cinv = inverse(C)
             for m in H.witness:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,16 @@ class TestWords:
             parse_word("abc", ("a", "b"))
 
     def test_word_to_str(self):
-        assert word_to_str(("a", "b")) == "ab"
-        assert word_to_str(("s0", "s1")) == "s0,s1"
-        assert word_to_str(()) == ""
+        assert word_to_str(("a", "b"), ("a", "b")) == "ab"
+        assert word_to_str(("s0", "s1"), ("s0", "s1")) == "s0,s1"
+        assert word_to_str((), ("a",)) == ""
+
+    def test_word_text_reads_back(self):
+        # with the letter "ab" in the alphabet, the word a b is "a,b": joined,
+        # it would read back as the one letter ab
+        alphabet = ("a", "ab", "b")
+        assert word_to_str(("a", "b"), alphabet) == "a,b"
+        assert word_to_str(("ab",), alphabet) == "ab"
+        for length in range(4):
+            for word in itertools.product(alphabet, repeat=length):
+                assert parse_word(word_to_str(word, alphabet), alphabet) == word

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from semiforge import (CapExceeded, GroupInfinite, InfiniteSemigroup, Mat,
+from semiforge import (CapExceeded, InfiniteSemigroup, Mat,
                        NotACycle, Shortener, build_image_graph, cycle_rep,
-                       group_closure, image, shorten)
+                       group_closure, image, is_torsion, shorten)
 from conftest import (PROJ_X, ROT90, all_words, mat, random_equal_rank_table,
                       table_from)
 
@@ -21,7 +21,7 @@ def rotation_table():
 def rho(table, base, word) -> int:
     """The cycle's order: appending the cycle that many times after any
     word with matching image is a no-op."""
-    return group_closure({"c": cycle_rep(table, base, word)}).order
+    return group_closure(table_from({"c": cycle_rep(table, base, word)})).order
 
 
 class TestCycleRep:
@@ -119,7 +119,7 @@ class TestRho:
     def test_order_cap(self):
         # the cycle acts on its base line as [2], which has no finite order
         t = table_from({"a": mat([[2, 0], [0, 0]])})
-        with pytest.raises(GroupInfinite):
+        with pytest.raises(InfiniteSemigroup):
             rho(t, image(t.mapping["a"]), ("a",))
 
 
@@ -209,6 +209,27 @@ class TestShortener:
         # even with the finiteness gate skipped, the group route notices
         with pytest.raises(InfiniteSemigroup):
             shorten(t, ("a", "a"), assume_finite=True)
+
+    def test_witness_is_a_non_torsion_word_over_the_table(self):
+        # with the finiteness gate skipped, infinitude shows inside the
+        # shortener, in a group closure over cycle labels or derived
+        # letters; the witness is still spelled in the table's letters
+        rng = random.Random(53)
+        raised = 0
+        for _ in range(600):
+            n = rng.randint(1, 3)
+            letters = "abc"[:rng.randint(1, 3)]
+            table = table_from({a: [[rng.choice((-1, 0, 1, 2)) for _ in range(n)]
+                                    for _ in range(n)] for a in letters})
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 7)))
+            try:
+                shorten(table, word, assume_finite=True)
+            except InfiniteSemigroup as exc:
+                raised += 1
+                w = exc.witness
+                assert w is None or (w and set(w) <= set(table.alphabet)
+                                     and not is_torsion(table.evaluate(w)))
+        assert raised >= 200
 
     def test_cap_exceeded(self):
         t = rotation_table()
