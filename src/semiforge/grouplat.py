@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Sequence
 
-from .linalg import Mat, inverse, rank, det
+from .linalg import Mat, det, inverse, rank, stack
 from .semigroup import ClosureResult, InfiniteSemigroup, MorphismTable, _bfs, _letters
 
 
@@ -49,8 +50,7 @@ def _hnf_rows(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
     for col in range(ncols):
         hitting = [r for r in work if r[col] != 0]
         rest = [r for r in work if r[col] == 0]
-        if not hitting:
-            work = rest
+        if not hitting:  # then rest is all of work
             continue
         while len(hitting) > 1:
             hitting.sort(key=lambda r: abs(r[col]))
@@ -65,9 +65,7 @@ def _hnf_rows(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
                     rest.append(rr)
             hitting = reduced
         p = hitting[0]
-        if p[col] < 0:
-            p = [-a for a in p]
-        result.append(p)
+        result.append(p if p[col] > 0 else [-a for a in p])
         work = rest
     # reduce entries above each pivot into [0, pivot); left-to-right, so
     # later reductions (zero left of their pivot) cannot disturb earlier ones
@@ -94,22 +92,20 @@ def integerize(G: FiniteGroupClosure) -> Mat:
     """A matrix C with C*M*inverse(C) integral of determinant +-1 for every
     M in G.
 
-    Builds the invariant lattice spanned by all rows of all group elements,
-    scales denominators away, and takes its HNF basis; intermediate rows
-    are re-reduced per element to keep integers small.
+    The rows of C are the HNF basis of the invariant lattice: the least one
+    that contains Z^n and is mapped into itself by each generator (element
+    with a one-letter witness), found as a fixpoint of B -> HNF(B, B*g, ...).
+    Only generators are checked, as in a finite group g^-1 = g^(order - 1).
     """
-    n = G.n
-    d = math.lcm(*(m.den for m in G.witness))
-    rows: list[list[int]] = []
-    for m in G.witness:
-        rows.extend([x * (d // m.den) for x in r] for r in m.int_rows())
-        rows = _hnf_rows(rows, n)
-    if len(rows) != n:
-        raise InfiniteSemigroup()
-    C = Fraction(1, d) * Mat(rows, cols=n)
+    if G.status != "finite":  # the fixpoint need not end on a truncated closure
+        raise ValueError(f"integerize needs a finite closure, got status {G.status!r}")
+    gens = [m for m, w in G.witness.items() if len(w) == 1]
+    C, prev = Mat.identity(G.n), None
+    while C != prev:
+        S = reduce(stack, (C * g for g in gens), C)
+        prev, C = C, Fraction(1, S.den) * Mat(_hnf_rows(S.int_rows(), G.n), cols=G.n)
     Cinv = inverse(C)
-    for m in G.witness:
-        conj = C * m * Cinv
+    for conj in (C * g * Cinv for g in gens):
         if not conj.is_integral() or abs(det(conj)) != 1:
             raise InfiniteSemigroup()
     return C

@@ -41,6 +41,12 @@ def _names(x, what: str) -> tuple[str, ...]:
     return tuple(_typed(a, str, f"each of {what}") for a in _typed(x, list, what))
 
 
+def _letter(a: str, what: str) -> str:
+    if a == "" or "," in a:  # "" prints as the empty word, "," splits word text
+        raise ParseError(f"{what} {a!r} is empty or contains ','")
+    return a
+
+
 def frac_from_str(s) -> Fraction:
     if type(s) is int:
         return Fraction(s)
@@ -97,8 +103,7 @@ def generators_from_json(obj) -> MorphismTable:
         raise ParseError("'generators' must be a nonempty object")
     mapping = {}
     for name in gens:
-        if name == "" or "," in name:
-            raise ParseError(f"generator name {name!r} is empty or contains ','")
+        _letter(name, "generator name")
         m = matrix_from_json(gens[name], context=f"generator {name!r}")
         if m.rows != n:
             raise ParseError(f"generator {name!r} is not {n}x{n}")
@@ -119,7 +124,7 @@ def automaton_from_json(obj) -> WeightedAutomaton:
         if not isinstance(obj, dict) or field not in obj:
             raise ParseError(f"automaton file needs '{field}'")
     n = _typed(obj["n"], int, "'n'")
-    alphabet = _names(obj["alphabet"], "'alphabet'")
+    alphabet = tuple(_letter(a, "letter") for a in _names(obj["alphabet"], "'alphabet'"))
     transitions = _typed(obj["transitions"], dict, "'transitions'")
     mapping = {}
     for a in alphabet:

@@ -12,16 +12,21 @@
 - `oracle_reach_bounded`: the VASS breadth-first search as it was before
   it indexed the transitions by source state. Every dequeue scans all
   transitions and builds a `Configuration` per successor.
+- `oracle_integerize`: the integerization as it was before it became a
+  fixpoint over the generators. It takes one HNF per group element and
+  conjugates every element to check it.
 """
 
+import math
 from collections import deque
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from semiforge import (Configuration, Mat, ReachResult, Subspace, kernel, rank,
-                       trivial_intersection)
+from semiforge import (Configuration, InfiniteSemigroup, Mat, ReachResult, Subspace,
+                       det, inverse, kernel, rank, trivial_intersection)
 from semiforge.exterior import AmbientMismatch
+from semiforge.grouplat import _hnf_rows
 from semiforge.imagegraph import RankDropped
 from semiforge.linalg import _frac
 
@@ -183,3 +188,24 @@ def oracle_reach_bounded(V, source, target, budget):
             visited.add(nxt)
             queue.append((nxt, path + (i,)))
     return ReachResult("not_within_budget")
+
+
+def oracle_integerize(G):
+    """integerize by rows of every element: the HNF basis of the lattice
+    spanned by the rows of all of G, re-reduced after each element, then
+    every element conjugated and checked."""
+    n = G.n
+    d = math.lcm(*(m.den for m in G.witness))
+    rows = []
+    for m in G.witness:
+        rows.extend([x * (d // m.den) for x in r] for r in m.int_rows())
+        rows = _hnf_rows(rows, n)
+    if len(rows) != n:
+        raise InfiniteSemigroup()
+    C = Fraction(1, d) * Mat(rows, cols=n)
+    Cinv = inverse(C)
+    for m in G.witness:
+        conj = C * m * Cinv
+        if not conj.is_integral() or abs(det(conj)) != 1:
+            raise InfiniteSemigroup()
+    return C

@@ -462,6 +462,12 @@ class TestStrictShapes:
          "generator name '' is empty or contains ','"),
         ("shorten", {**_GENERATORS, "generators": {"a,b": {"entries": [["1"]]}}},
          "generator name 'a,b' is empty or contains ','"),
+        # a wa-finite witness over ["a,b", ""] would print as "a,b"
+        ("wa-finite", {**_AUTOMATON, "alphabet": ["a,b"],
+                       "transitions": {"a,b": {"entries": [["1"]]}}},
+         "letter 'a,b' is empty or contains ','"),
+        ("wa-finite", {**_AUTOMATON, "alphabet": [""], "transitions": {"": {"entries": [["1"]]}}},
+         "letter '' is empty or contains ','"),
     ])
     def test_malformed_shape_is_a_parse_error(self, capsys, tmp_path, command, doc, message):
         path = tmp_path / "input.json"

@@ -22,6 +22,8 @@ CASES = {
     "closure": (0, ["closure", "rotation_projection.json"]),
     "integerize": (0, ["integerize", "signed_perm3_rational.json"]),
     "integerize_infinite": (0, ["integerize", "involutions_rational.json"]),
+    # letter b is the identity and d repeats a: neither has a one-letter witness
+    "integerize_repeated_letters": (0, ["integerize", "repeated_letters_rational.json"]),
     "image_graph": (0, ["image-graph", "rank2_rational.json"]),
     "shorten": (0, ["shorten", "mixed_rank3_rational.json",
                     "--word", "qpraaaqapaarraparaaparapapqrpaqpapqaaapr"]),

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from semiforge import (InfiniteSemigroup, Mat, MorphismTable, NotMember, group_closure,
-                       hnf, integerize, inverse, shortest_word_for)
+from semiforge import (InfiniteSemigroup, Mat, MorphismTable, NotMember, closure,
+                       group_closure, hnf, integerize, inverse, shortest_word_for)
 from semiforge.grouplat import NonInvertibleGenerator
 from semiforge.linalg import det
-from conftest import (PROJ_X, ROT90, mat, random_invertible,
-                      rotation_generator, signed_perm_generators, table_from)
+from conftest import (PROJ_X, ROT90, mat, random_invertible, rotation_generator,
+                      signed_partial_perm, signed_perm_generators, table_from)
+from oracles import oracle_integerize
 
 F = Fraction
 
@@ -172,3 +173,32 @@ class TestIntegerize:
             for m in H.witness:
                 conj = C * m * Cinv
                 assert conj.is_integral() and abs(det(conj)) == 1
+
+    def test_truncated_closure_is_refused(self):
+        # the lattice of [[1/2]] grows in every round, so a fixpoint over a
+        # closure cut at its cap would never end
+        with pytest.raises(ValueError):
+            integerize(closure(table_from([mat([[F(1, 2)]])]), cap=5))
+
+
+class TestIntegerizeAgainstOracle:
+    """The generator fixpoint against the per-element oracle on seeded
+    finite groups of signed permutations, integral or rationally
+    conjugated. Some tables carry the identity or a repeated matrix as a
+    letter: neither has a one-letter witness in the closure."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_same_matrix_as_oracle(self, n):
+        rng = random.Random(40 + n)
+        for i in range(9):
+            gens = [signed_partial_perm(rng, n, n) for _ in range(rng.randint(1, 3))]
+            if i % 3 == 1:
+                gens.append(Mat.identity(n))
+            elif i % 3 == 2:
+                gens.append(gens[0])
+            if i % 2:
+                T = random_invertible(rng, n)
+                gens = [inverse(T) * g * T for g in gens]
+            rng.shuffle(gens)
+            H = group_closure(table_from(gens))
+            assert integerize(H) == oracle_integerize(H)
