@@ -14,7 +14,7 @@ from .linalg import (Mat, Subspace, det, image, inverse, kernel,
 from .exterior import trivial_intersection
 from .semigroup import (DEFAULT_CAP, BoundReport, ClosureResult, FinitenessResult,
                         MorphismTable, CapExceeded, InfiniteSemigroup, NotMember,
-                        closure, decide_finiteness, is_torsion,
+                        decide_finiteness, is_torsion,
                         length_bound, shortest_word_for, size_bound)
 from .grouplat import (FiniteGroupClosure, NonInvertibleGenerator, group_closure, hnf,
                        integerize)

@@ -17,8 +17,8 @@ from . import __version__
 from .grouplat import NonInvertibleGenerator, group_closure, integerize
 from .imagegraph import MixedRankGenerators, build_image_graph, to_dot
 from .linalg import inverse
-from .semigroup import (DEFAULT_CAP, CapExceeded, InfiniteSemigroup, closure,
-                        decide_finiteness, g_upper_bound, length_bound, size_bound)
+from .semigroup import (DEFAULT_CAP, CapExceeded, InfiniteSemigroup, decide_finiteness,
+                        g_upper_bound, length_bound, size_bound)
 from .serialize import (ParseError, automaton_from_json, generators_from_json,
                         matrix_to_json, parse_word, vass_from_json, word_to_str)
 from .shortener import shorten
@@ -97,26 +97,21 @@ def _verdict(verdict, cap, alphabet) -> tuple[int, dict]:
 
 
 def cmd_finiteness(args) -> tuple[int, dict]:
+    """finiteness, and closure, which always lists the elements and says
+    whether the identity is among them."""
     cap = _cap(args.cap)
     table = generators_from_json(_load_json(args.input))
     verdict = decide_finiteness(table, cap)
     code, out = _verdict(verdict, cap, table.alphabet)
-    if verdict.status == "finite":
-        out["count"] = len(verdict.closure)
-        if args.witnesses:
-            out["elements"] = _witness_listing(verdict.closure, table.alphabet)
+    result = verdict.closure
+    listing = args.command == "closure"
+    if result is not None:
+        out["count"] = len(result)
+        if listing:
+            out["identity_expressible"] = result.identity_expressible
+        if listing or args.witnesses:
+            out["elements"] = _witness_listing(result, table.alphabet)
     return code, out
-
-
-def cmd_closure(args) -> tuple[int, dict]:
-    cap = _cap(args.cap)
-    table = generators_from_json(_load_json(args.input))
-    result = closure(table, cap)
-    if result.status == "exceeded_cap":
-        return _exceeded(cap)
-    return 0, {"status": "finite", "count": len(result),
-               "identity_expressible": result.identity_expressible,
-               "elements": _witness_listing(result, table.alphabet)}
 
 
 def cmd_shorten(args) -> tuple[int, dict]:
@@ -266,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int)
     p.add_argument("--witnesses", action="store_true")
 
-    p = add("closure", cmd_closure, help="enumerate the semigroup with witness words")
+    p = add("closure", cmd_finiteness, help="enumerate the semigroup with witness words")
     p.add_argument("input")
     p.add_argument("--cap", type=int)
 

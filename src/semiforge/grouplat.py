@@ -37,11 +37,10 @@ def group_closure(table: MorphismTable) -> FiniteGroupClosure:
     for a, m in letters:
         if rank(m) != n:
             raise NonInvertibleGenerator(f"generator {a!r} is singular")
-    witness, status, word = _bfs(letters, math.factorial(2 * n), torsion=True,
-                                 identity=Mat.identity(n))
+    witness, status, word = _bfs(letters, math.factorial(2 * n), identity=Mat.identity(n))
     if status != "finite":
         raise InfiniteSemigroup(word)
-    return FiniteGroupClosure(n, witness, "finite")
+    return FiniteGroupClosure(n, witness)
 
 
 def _hnf_rows(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
@@ -96,9 +95,9 @@ def integerize(G: FiniteGroupClosure) -> Mat:
     that contains Z^n and is mapped into itself by each generator (element
     with a one-letter witness), found as a fixpoint of B -> HNF(B, B*g, ...).
     Only generators are checked, as in a finite group g^-1 = g^(order - 1).
+    The fixpoint ends because G is a whole finite group: every
+    `ClosureResult` comes from a BFS that closed.
     """
-    if G.status != "finite":  # the fixpoint need not end on a truncated closure
-        raise ValueError(f"integerize needs a finite closure, got status {G.status!r}")
     gens = [m for m, w in G.witness.items() if len(w) == 1]
     C, prev = Mat.identity(G.n), None
     while C != prev:

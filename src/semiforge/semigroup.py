@@ -69,13 +69,12 @@ class MorphismTable:
 
 @dataclass
 class ClosureResult:
-    """The set M(Sigma+) with a shortest (lex-least among those) witness
-    word per element, in BFS order. `status` is "finite" or
-    "exceeded_cap"."""
+    """The whole set M(Sigma+), in BFS order, with a shortest (lex-least
+    among those) witness word per element. Only a BFS that closed builds
+    one."""
 
     n: int
     witness: dict[Mat, Word]
-    status: str
 
     def __len__(self) -> int:
         return len(self.witness)
@@ -88,53 +87,59 @@ class ClosureResult:
         return Mat.identity(self.n) in self.witness
 
 
-def _bfs(letters, cap: int, torsion: bool, identity: Mat | None = None):
+DEFER = 8  # the BFS tests its k-th new element for torsion once it has DEFER * k
+
+
+def _bfs(letters, cap: int, identity: Mat | None = None):
     """Closure by word length under right multiplication by `letters`
     (label, matrix) pairs, keeping the first (so shortest, lex-least)
-    word that reaches each element.
+    word that reaches each element, and stopping at a non-torsion one.
 
     Without `identity` the closure is the semigroup: its first layer is
     the generators themselves. With it, the closure is the monoid, and
     `identity` is stored with the empty word. The cap is checked before
-    each insertion; with `torsion`, each admitted element is tested by
-    `is_torsion`. Returns the store (in insertion order), a status
+    each insertion. Returns the store (in insertion order), a status
     ("finite", "exceeded_cap" or "infinite") and, unless finite, the word
     that hit the cap or names a non-torsion element. A cap below 1 is
     refused: it admits nothing, so it can give no verdict.
+
+    Torsion is tested late (see DEFER) but in insertion order, and every
+    untested element is tested before a cap is reported, so all is as if
+    each were tested on admission. A BFS that closes skips the rest: each
+    element of a finite semigroup is torsion (pigeonhole on its powers).
+    An infinite one holds a non-torsion element (McNaughton-Zalcstein).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     store: dict[Mat, Word] = {}
     if identity is not None:
         store[identity] = ()
-    frontier = [identity]  # None stands for the empty product
-    while frontier:
-        fresh = []
-        for m in frontier:
-            w = () if m is None else store[m]
-            for a, g in letters:
-                p = g if m is None else m * g
-                if p in store:
-                    continue
-                u = w + (a,)
-                if len(store) >= cap:
-                    return store, "exceeded_cap", u
-                store[p] = u
-                if torsion and not is_torsion(p):
-                    return store, "infinite", u
-                fresh.append(p)
-        frontier = fresh
+    queue = [identity]  # in insertion order; None stands for the empty product
+    tested = 1  # queue[tested:] awaits the torsion test
+    for m in queue:  # reaches what the loop appends
+        w = () if m is None else store[m]
+        for a, g in letters:
+            p = g if m is None else m * g
+            if p in store:
+                continue
+            u = w + (a,)
+            if len(store) >= cap:
+                for q in queue[tested:]:
+                    if not is_torsion(q):
+                        return store, "infinite", store[q]
+                return store, "exceeded_cap", u
+            store[p] = u
+            queue.append(p)
+            if len(queue) > DEFER * tested:
+                q = queue[tested]
+                if not is_torsion(q):
+                    return store, "infinite", store[q]
+                tested += 1
     return store, "finite", None
 
 
 def _letters(table: MorphismTable) -> list:
     return [(a, table.mapping[a]) for a in table.alphabet]
-
-
-def closure(table: MorphismTable, cap: int = DEFAULT_CAP) -> ClosureResult:
-    """Breadth-first closure of the generated semigroup, by word length."""
-    witness, status, _ = _bfs(_letters(table), cap, torsion=False)
-    return ClosureResult(table.n, witness, status)
 
 
 def _totient(k: int) -> int:
@@ -284,18 +289,18 @@ class FinitenessResult:
 
 
 def decide_finiteness(table: MorphismTable, cap: int = DEFAULT_CAP) -> FinitenessResult:
-    """Interleave BFS closure with the torsion test.
+    """BFS closure that stops at a non-torsion element (see `_bfs`).
 
     Total for finite semigroups (the BFS closes) and for infinite ones (a
     non-torsion element appears, by McNaughton-Zalcstein); the cap is a
     safety net that yields "exceeded_cap" without a verdict.
     """
-    witness, status, word = _bfs(_letters(table), cap, torsion=True)
+    witness, status, word = _bfs(_letters(table), cap)
     if status == "infinite":
         return FinitenessResult("infinite", witness=word)
     if status == "exceeded_cap":
         return FinitenessResult("exceeded_cap")
-    return FinitenessResult("finite", closure=ClosureResult(table.n, witness, "finite"))
+    return FinitenessResult("finite", closure=ClosureResult(table.n, witness))
 
 
 def g_upper_bound(n: int) -> int:
@@ -332,8 +337,6 @@ def size_bound(n: int, m: int) -> int:
 
 
 def shortest_word_for(result: ClosureResult, A: Mat) -> Word:
-    if result.status != "finite":
-        raise ValueError("closure did not complete")
     if A not in result.witness:
         raise NotMember("matrix is not in the semigroup")
     return result.witness[A]

@@ -15,6 +15,8 @@
 - `oracle_integerize`: the integerization as it was before it became a
   fixpoint over the generators. It takes one HNF per group element and
   conjugates every element to check it.
+- `oracle_bfs`: the closure BFS as it was before it deferred the torsion
+  test. It tests every element as it admits it.
 """
 
 import math
@@ -26,6 +28,7 @@ from typing import Sequence
 from semiforge import (Configuration, InfiniteSemigroup, Mat, ReachResult, Subspace,
                        det, inverse, kernel, rank, trivial_intersection)
 from semiforge.exterior import AmbientMismatch
+from semiforge import semigroup
 from semiforge.grouplat import _hnf_rows
 from semiforge.imagegraph import RankDropped
 from semiforge.linalg import _frac
@@ -209,3 +212,31 @@ def oracle_integerize(G):
         if not conj.is_integral() or abs(det(conj)) != 1:
             raise InfiniteSemigroup()
     return C
+
+
+def oracle_bfs(letters, cap, identity=None):
+    """`semigroup._bfs` with the torsion test run on each element as it is
+    admitted, layer by layer; the same result contract."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    store = {}
+    if identity is not None:
+        store[identity] = ()
+    frontier = [identity]  # None stands for the empty product
+    while frontier:
+        fresh = []
+        for m in frontier:
+            w = () if m is None else store[m]
+            for a, g in letters:
+                p = g if m is None else m * g
+                if p in store:
+                    continue
+                u = w + (a,)
+                if len(store) >= cap:
+                    return store, "exceeded_cap", u
+                store[p] = u
+                if not semigroup.is_torsion(p):
+                    return store, "infinite", u
+                fresh.append(p)
+        frontier = fresh
+    return store, "finite", None

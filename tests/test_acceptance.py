@@ -18,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from semiforge import (Mat, WeightedAutomaton, build_image_graph, closure,
-                       cycle_rep, decide_wa_finiteness, evaluate, group_closure,
+from semiforge import (Mat, WeightedAutomaton, build_image_graph, cycle_rep,
+                       decide_finiteness, decide_wa_finiteness, evaluate, group_closure,
                        integerize, inverse, is_torsion, length_bound, minimize,
                        rank)
 from semiforge.cli import main as cli_main
@@ -53,8 +53,7 @@ def test_criterion_1_nilpotent_family(capsys):
         start = time.monotonic()
         for m in range(1, 11):
             gens = {f"g{i}": mat([[0, i], [0, 0]]) for i in range(m)}
-            result = closure(table_from(gens))
-            assert result.status == "finite"
+            result = decide_finiteness(table_from(gens)).closure
             assert len(result) == m
             assert result.contains(Mat.zeros(2, 2))
         assert time.monotonic() - start < 1.0

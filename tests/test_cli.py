@@ -89,6 +89,10 @@ class TestClosure:
         assert out["count"] == 4 and out["identity_expressible"]
         assert all(e["matrix"]["n"] == 2 for e in out["elements"])
 
+    def test_infinite_is_a_verdict(self, capsys, shear_file):
+        # the closure stops at a non-torsion element, as finiteness does
+        assert run(capsys, "closure", shear_file) == (0, {"status": "infinite", "witness": "a"})
+
 
 class TestShorten:
     def test_positional_input(self, capsys, rot90_file):

@@ -4,7 +4,8 @@ Each subcommand gets small JSON documents, well formed or with one part
 replaced by arbitrary JSON or deleted, and is run in-process through
 `main`. Whatever the document, the exit code is 0, 1 or 2, nothing
 escapes as a traceback, and exits 0 and 2 print one JSON document. The
-words printed on exit 0 read back to the values they stand for.
+words printed on exit 0 read back to the values they stand for, and a
+printed witness of infiniteness to a matrix that is not torsion.
 """
 
 import json
@@ -12,6 +13,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from semiforge import is_torsion
 from semiforge.cli import main
 from semiforge.serialize import generators_from_json, matrix_to_json, parse_word
 
@@ -129,8 +131,8 @@ COMMANDS = {
 
 def _words_read_back(doc, args, out):
     """Every word printed by finiteness, closure or shorten reads back
-    through parse_word to a word whose value is the printed matrix, or the
-    shortened input."""
+    through parse_word to a word whose value is the printed matrix, the
+    shortened input, or (a witness) a matrix that is not torsion."""
     table = generators_from_json(doc)
 
     def value(text):
@@ -141,7 +143,7 @@ def _words_read_back(doc, args, out):
     if "output_word" in out:
         assert value(out["output_word"]) == value(args[1])
     if out.get("witness") is not None:
-        value(out["witness"])
+        assert not is_torsion(value(out["witness"]))
 
 
 @pytest.fixture(scope="module")

@@ -20,6 +20,7 @@ CASES = {
     "finiteness_witnesses": (0, ["finiteness", "dihedral_rational.json", "--witnesses"]),
     "finiteness_infinite": (0, ["finiteness", "involutions_rational.json"]),
     "closure": (0, ["closure", "rotation_projection.json"]),
+    "closure_infinite": (0, ["closure", "involutions_rational.json", "--cap", "5"]),
     "integerize": (0, ["integerize", "signed_perm3_rational.json"]),
     "integerize_infinite": (0, ["integerize", "involutions_rational.json"]),
     # letter b is the identity and d repeats a: neither has a one-letter witness

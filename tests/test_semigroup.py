@@ -1,26 +1,27 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from semiforge import (DimensionMismatch, Mat, NotMember, closure, decide_finiteness,
+from semiforge import (DimensionMismatch, Mat, NotMember, decide_finiteness,
                        is_torsion, length_bound, shortest_word_for, size_bound)
 from semiforge import polys, semigroup
 from semiforge.linalg import det, inverse
-from semiforge.semigroup import g_upper_bound, _charpoly, _totient
+from semiforge.semigroup import DEFAULT_CAP, g_upper_bound, _bfs, _charpoly, _letters, _totient
 from conftest import (PROJ_X, PROJ_Y, ROT90, SHIFT_NILP, brute_closure,
                       companion, cyclotomic, mat, oracle_is_torsion,
                       power_iteration_torsion, table_from)
+from oracles import oracle_bfs
 
 F = Fraction
 
 
 class TestClosure:
     def test_single_rotation(self):
-        result = closure(table_from([ROT90]))
-        assert result.status == "finite"
+        result = decide_finiteness(table_from([ROT90])).closure
         assert len(result) == 4
         assert result.identity_expressible
         assert shortest_word_for(result, ROT90) == ("a",)
@@ -30,7 +31,7 @@ class TestClosure:
         # b maps to the identity, so every element has a witness using only
         # the lexicographically smaller spelling
         t = table_from({"a": ROT90, "b": Mat.identity(2)})
-        result = closure(t)
+        result = decide_finiteness(t).closure
         assert shortest_word_for(result, Mat.identity(2)) == ("b",)
         assert shortest_word_for(result, ROT90 * ROT90) == ("a", "a")
         for m, w in result.witness.items():
@@ -39,21 +40,19 @@ class TestClosure:
     def test_matches_brute_force(self):
         for mats in ([ROT90], [PROJ_X, PROJ_Y], [ROT90, PROJ_X],
                      [mat([[1, 1], [0, 0]]), mat([[0, 0], [1, 1]])]):
-            got = closure(table_from(mats))
-            assert got.status == "finite"
+            got = decide_finiteness(table_from(mats)).closure
             assert set(got.witness) == brute_closure(mats)
 
     def test_cap(self):
-        t = table_from([mat([[2]])])
-        result = closure(t, cap=10)
-        assert result.status == "exceeded_cap"
-        assert len(result) == 10
-        with pytest.raises(ValueError):
-            closure(t, cap=0)
+        # [[2]] is not torsion, so a cap the closure passes still gives a verdict
+        verdict = decide_finiteness(table_from([mat([[2]])]), cap=10)
+        assert (verdict.status, verdict.witness) == ("infinite", ("a",))
+        # the four rotations do not fit in three
+        assert decide_finiteness(table_from([ROT90]), cap=3).status == "exceeded_cap"
 
     def test_duplicate_generators_collapse(self):
         t = table_from({"a": PROJ_X, "b": PROJ_X})
-        assert len(closure(t)) == 1
+        assert len(decide_finiteness(t).closure) == 1
 
     def test_library_ignores_cap_env(self, monkeypatch):
         # only the command line reads SEMIFORGE_CAP
@@ -61,7 +60,7 @@ class TestClosure:
         assert decide_finiteness(table_from([ROT90])).status == "finite"
 
     def test_shortest_word_for_rejects_nonmembers(self):
-        result = closure(table_from([PROJ_X]))
+        result = decide_finiteness(table_from([PROJ_X])).closure
         with pytest.raises(NotMember):
             shortest_word_for(result, ROT90)
 
@@ -253,7 +252,6 @@ class TestDecideFiniteness:
         assert decide_finiteness(t, cap=2).status == "exceeded_cap"
 
     def test_cap_below_one_is_refused(self):
-        # every caller of the BFS refuses it alike, not only closure()
         t = table_from([ROT90, PROJ_X])
         for cap in (0, -1):
             with pytest.raises(ValueError):
@@ -282,10 +280,42 @@ def test_decide_finiteness_closure_matches_closure():
         if verdict.status != "finite":
             continue
         finite += 1
-        expected = closure(t)
-        assert list(verdict.closure.witness.items()) == list(expected.witness.items())
+        expected, _, _ = oracle_bfs(_letters(t), DEFAULT_CAP)
+        assert list(verdict.closure.witness.items()) == list(expected.items())
         assert set(verdict.closure.witness) == brute_closure(mats)
     assert finite >= 30
+
+
+@pytest.mark.parametrize("monoid", [False, True], ids=["semigroup", "group"])
+def test_bfs_matches_the_eager_oracle(monoid):
+    """The deferred torsion test against one on admission, on seeded
+    tables at small caps: the same status and word, and the same store
+    unless the verdict is "infinite"; then the oracle's store, which stops
+    at the witness, begins ours."""
+    rng = random.Random(13)
+    seen = Counter()
+    for _ in range(150):
+        n = rng.randint(1, 3)
+
+        def row():  # more {0, 1, -1} rows than usual, for more infinite tables
+            if rng.random() < 0.4:
+                return [rng.choice((0, 1, -1)) for _ in range(n)]
+            return _mostly_monomial_row(rng, n)
+
+        letters = _letters(table_from([Mat([row() for _ in range(n)])
+                                       for _ in range(rng.randint(1, 3))]))
+        cap = rng.randint(1, 60)
+        identity = Mat.identity(n) if monoid else None
+        store, status, word = _bfs(letters, cap, identity=identity)
+        expected, expected_status, expected_word = oracle_bfs(letters, cap, identity=identity)
+        assert (status, word) == (expected_status, expected_word)
+        got = list(store.items())
+        assert got[:len(expected)] == list(expected.items())
+        assert status == "infinite" or len(got) == len(expected)
+        seen[status] += 1
+        # found by the test of the untested prefix at the cap
+        seen["infinite at the cap"] += status == "infinite" and len(store) == cap
+    assert min(seen.values()) >= 10, seen
 
 
 def test_witnesses_unchanged_under_the_oracle(monkeypatch):
@@ -325,7 +355,6 @@ class TestBounds:
 def test_m_family_closures():
     for m in range(1, 11):
         gens = [mat([[0, i], [0, 0]]) for i in range(m)]
-        result = closure(table_from(gens))
-        assert result.status == "finite"
+        result = decide_finiteness(table_from(gens)).closure
         assert len(result) == m
         assert result.contains(Mat.zeros(2, 2))
