@@ -22,7 +22,7 @@ from .imagegraph import (ImageGraph, MixedRankGenerators, NotSameSCC,
                          RankDropped, build_image_graph, scc_segment_decompose,
                          scc_shortest_path, to_dot)
 from .shortener import NotACycle, Shortener, cycle_rep, shorten
-from .wautomata import (UnknownLetter, WeightedAutomaton, backward_space,
-                        decide_wa_finiteness, evaluate, forward_space, minimize)
+from .wautomata import (UnknownLetter, WeightedAutomaton, decide_wa_finiteness,
+                        evaluate, forward_space, minimize)
 from .vass import (AffineVass, Configuration, ReachResult, Transition,
                    check_fmp, reach_bounded, step)

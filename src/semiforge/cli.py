@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from . import __version__
@@ -207,14 +208,14 @@ def cmd_vass_fmp(args) -> tuple[int, dict]:
 
 def _parse_config(text: str, d: int) -> Configuration:
     state, _, rest = text.partition(":")
-    if not state:
+    parts = rest.split(",") if rest else []
+    if not state or not all(re.fullmatch("-?[0-9]+", p) for p in parts):
         raise CliError(f"bad configuration {text!r}; expected state:v1,...,vd")
-    parts = [p for p in rest.split(",") if p != ""]
     if len(parts) != d:
         raise CliError(f"configuration {text!r} needs {d} vector entries")
     try:
         return Configuration(state, tuple(int(p) for p in parts))
-    except ValueError as exc:
+    except ValueError as exc:  # more digits than int() reads
         raise CliError(f"bad configuration {text!r}: {exc}")
 
 

@@ -102,7 +102,7 @@ def integerize(G: FiniteGroupClosure) -> Mat:
     C, prev = Mat.identity(G.n), None
     while C != prev:
         S = reduce(stack, (C * g for g in gens), C)
-        prev, C = C, Fraction(1, S.den) * Mat(_hnf_rows(S.int_rows(), G.n), cols=G.n)
+        prev, C = C, Fraction(1, S.den) * hnf(S.den * S)
     Cinv = inverse(C)
     for conj in (C * g * Cinv for g in gens):
         if not conj.is_integral() or abs(det(conj)) != 1:

@@ -158,32 +158,24 @@ class Shortener:
             u = self._group_word(tuple((a, table.mapping[a]) for a in letters), value)
             return word if len(word) < len(u) else u
 
-        # peel rank-r suffixes from the right; each peeled block (head
-        # letter + remainder) has rank exactly r, remainders rank > r
-        segments: list[tuple[str, Word]] = []
-        rest = word
-        while rest:
-            found = None
-            m = Mat.identity(n)
-            for j in range(len(rest) - 1, -1, -1):
-                m = table.mapping[rest[j]] * m
-                if rank(m) == r:
-                    found = j
-                    break
-            if found is None:
-                break
-            segments.insert(0, (rest[found], rest[found + 1:]))
-            rest = rest[:found]
-        prefix = rest  # rank > r (possibly empty)
+        # one right-to-left pass cuts rank-r blocks (head letter + body of
+        # rank > r) and keeps their products; the rest has rank > r
+        blocks: list[tuple[int, int, Mat]] = []
+        end, m = len(word), None
+        for j in range(len(word) - 1, -1, -1):
+            m = table.mapping[word[j]] if m is None else table.mapping[word[j]] * m
+            if rank(m) == r:
+                blocks.append((j, end, m))
+                end, m = j, None
 
-        short_prefix = self.shorten(prefix)
+        short_prefix = self.shorten(word[:end])
+        # one derived letter per block value, spelled by its first block
         derived: dict[Mat, tuple[str, Word]] = {}
         derived_word: list[str] = []
-        for head, body in segments:
-            short_body = self.shorten(body)
-            m = table.mapping[head] * table.evaluate(short_body)
-            assert rank(m) == r
+        for start, stop, m in reversed(blocks):
             if m not in derived:
+                head, short_body = word[start], self.shorten(word[start + 1:stop])
+                assert table.mapping[head] * table.evaluate(short_body) == m
                 derived[m] = (f"s{len(derived)}", (head,) + short_body)
             derived_word.append(derived[m][0])
         sub_table = MorphismTable(n, tuple(name for name, _ in derived.values()),

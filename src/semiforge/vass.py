@@ -93,8 +93,6 @@ def transition_matrices(V: AffineVass) -> MorphismTable:
 
 def check_fmp(V: AffineVass, cap: int = DEFAULT_CAP) -> FinitenessResult:
     """Finite monoid property: is the semigroup of update matrices finite?"""
-    if not V.transitions:
-        return FinitenessResult("finite")
     return decide_finiteness(transition_matrices(V), cap)
 
 
@@ -120,18 +118,22 @@ def reach_bounded(V: AffineVass, source: Configuration, target: Configuration,
     if start == goal:
         return ReachResult("reached", ())
     index = _by_source(V)
-    queue = deque([(start, ())])
-    visited = {start}
+    queue = deque([start])
+    parent = {start: None}  # configuration -> (its predecessor, transition index)
     spent = 0
     while queue and spent < budget:
-        (state, v), path = queue.popleft()
+        state, v = c = queue.popleft()
         spent += 1
         for i, nxt_state, w in _successors(index[state], v):
             nxt = (nxt_state, w)
-            if nxt in visited:
+            if nxt in parent:
                 continue
+            parent[nxt] = (c, i)
             if nxt == goal:
-                return ReachResult("reached", path + (i,))
-            visited.add(nxt)
-            queue.append((nxt, path + (i,)))
+                path = []
+                while parent[nxt] is not None:
+                    nxt, i = parent[nxt]
+                    path.append(i)
+                return ReachResult("reached", tuple(reversed(path)))
+            queue.append(nxt)
     return ReachResult("not_within_budget")

@@ -69,11 +69,6 @@ def forward_space(A: WeightedAutomaton) -> Subspace:
     return space
 
 
-def backward_space(A: WeightedAutomaton) -> Subspace:
-    """span{eta * M(w)^T}: the forward space of the reversed automaton."""
-    return forward_space(reverse(A))
-
-
 def reverse(A: WeightedAutomaton) -> WeightedAutomaton:
     table = MorphismTable(A.n, A.alphabet,
                           {a: A.table.mapping[a].transpose() for a in A.alphabet})
@@ -107,7 +102,4 @@ def decide_wa_finiteness(A: WeightedAutomaton, cap: int = DEFAULT_CAP) -> Finite
     Minimizes first; on the minimal automaton, finiteness of the value set
     coincides with finiteness of the transition monoid.
     """
-    B = minimize(A)
-    if B.n == 0:
-        return FinitenessResult("finite")
-    return decide_finiteness(B.table, cap)
+    return decide_finiteness(minimize(A).table, cap)

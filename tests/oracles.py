@@ -17,6 +17,10 @@
   conjugates every element to check it.
 - `oracle_bfs`: the closure BFS as it was before it deferred the torsion
   test. It tests every element as it admits it.
+- `OracleShortener`: the `Shortener` with its rank peel as it was before
+  it became one pass. Every block scan restarts from the identity, and
+  every block body is shortened, even when an earlier block already gave
+  its value a derived letter.
 """
 
 import math
@@ -25,13 +29,14 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from semiforge import (Configuration, InfiniteSemigroup, Mat, ReachResult, Subspace,
-                       det, inverse, kernel, rank, trivial_intersection)
+from semiforge import (Configuration, InfiniteSemigroup, Mat, MorphismTable, ReachResult,
+                       Shortener, Subspace, det, inverse, kernel, rank, trivial_intersection)
 from semiforge.exterior import AmbientMismatch
 from semiforge import semigroup
 from semiforge.grouplat import _hnf_rows
 from semiforge.imagegraph import RankDropped
 from semiforge.linalg import _frac
+from semiforge.shortener import _spell
 
 
 class MultiVector:
@@ -240,3 +245,64 @@ def oracle_bfs(letters, cap, identity=None):
                 fresh.append(p)
         frontier = fresh
     return store, "finite", None
+
+
+def peel_blocks(table, word, r):
+    """The rank-r blocks of `word` as (head letter, body) pairs, left to
+    right, and the prefix of rank > r they leave: each peel scans from the
+    right end of what is left, from the identity, until the product first
+    has rank r."""
+    segments = []
+    rest = word
+    while rest:
+        found = None
+        m = Mat.identity(table.n)
+        for j in range(len(rest) - 1, -1, -1):
+            m = table.mapping[rest[j]] * m
+            if rank(m) == r:
+                found = j
+                break
+        if found is None:
+            break
+        segments.insert(0, (rest[found], rest[found + 1:]))
+        rest = rest[:found]
+    return segments, rest
+
+
+class OracleShortener(Shortener):
+    """`Shortener` whose `_shorten` shortens the body of every peeled block
+    and keys its derived letter by the value of the shortened block."""
+
+    def _shorten(self, word):
+        table = self.table
+        if not word:
+            return ()
+        value = table.evaluate(word)
+        r = rank(value)
+        n = table.n
+        if r == n:
+            used = set(word)
+            letters = tuple(a for a in table.alphabet if a in used)
+            u = self._group_word(tuple((a, table.mapping[a]) for a in letters), value)
+            return word if len(word) < len(u) else u
+        segments, prefix = peel_blocks(table, word, r)
+        short_prefix = self.shorten(prefix)
+        derived = {}
+        derived_word = []
+        for head, body in segments:
+            short_body = self.shorten(body)
+            m = table.mapping[head] * table.evaluate(short_body)
+            assert rank(m) == r
+            if m not in derived:
+                derived[m] = (f"s{len(derived)}", (head,) + short_body)
+            derived_word.append(derived[m][0])
+        sub_table = MorphismTable(n, tuple(name for name, _ in derived.values()),
+                                  {name: m for m, (name, _) in derived.items()})
+        replacement = dict(derived.values())
+        try:
+            x = self._max_rank(sub_table, tuple(derived_word))
+        except InfiniteSemigroup as exc:
+            raise InfiniteSemigroup(_spell(exc.witness, replacement)) from None
+        u = short_prefix + _spell(x, replacement)
+        assert table.evaluate(u) == value
+        return word if len(word) < len(u) else u

@@ -233,6 +233,34 @@ class TestVass:
         assert main(["vass-reach", counter_file, "--from", "r:0",
                      "--to", "q:3", "--budget", "10"]) == 1
 
+    @pytest.mark.parametrize("config", ["q:1,,2", "q:1_0,2", "q:1,2,", "q: 1,2", "q:+1,2",
+                                        "q:1,0x2", "q:1,\u0663", "q:", ":1,2"])
+    def test_entries_must_be_plain_integers(self, capsys, tmp_path, config):
+        # d = 2: an empty entry dropped, or int()'s underscores, signs,
+        # spaces and other digits read, would leave a well-formed vector
+        path = tmp_path / "vass2.json"
+        path.write_text(json.dumps({
+            "d": 2, "states": ["q"],
+            "transitions": [{"from": "q", "A": [[1, 0], [0, 1]], "b": [1, -1], "to": "q"}],
+        }))
+        assert main(["vass-reach", str(path), "--from", config, "--to", "q:3,-3",
+                     "--budget", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        code, out = run(capsys, "vass-reach", str(path), "--from", "q:-1,1", "--to", "q:1,-1",
+                        "--budget", "10")
+        assert code == 0 and out["path"] == [0, 0]
+
+    def test_empty_vector_at_dimension_zero(self, capsys, tmp_path):
+        path = tmp_path / "vass0.json"
+        path.write_text(json.dumps({
+            "d": 0, "states": ["p", "q"],
+            "transitions": [{"from": "p", "A": [], "b": [], "to": "q"}],
+        }))
+        code, out = run(capsys, "vass-reach", str(path), "--from", "p:", "--to", "q:",
+                        "--budget", "10")
+        assert code == 0 and out == {"status": "reached", "path": [0], "length": 1}
+
 
 class TestOutputOption:
     def test_writes_file(self, capsys, rot90_file, tmp_path):

@@ -5,12 +5,19 @@ compares stdout byte for byte with tests/golden/expected/<case>.json,
 so any change in verdicts, witness words, element order or rational
 formatting shows up here. The GraphViz file of `image-graph --dot` is
 compared the same way with tests/golden/expected/image_graph.dot.
+The cases run once more in one `python -O` process, where the library's
+self-check asserts are compiled away, so no output may depend on them.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import semiforge
 from semiforge.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -45,13 +52,44 @@ CASES = {
 }
 
 
+def _argv(case: str) -> list[str]:
+    argv = CASES[case][1]
+    return [argv[0], str(GOLDEN / argv[1]), *argv[2:]]
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_is_byte_identical(case, capsys):
-    code, argv = CASES[case]
-    argv = [argv[0], str(GOLDEN / argv[1]), *argv[2:]]
-    assert main(argv) == code
+    assert main(_argv(case)) == CASES[case][0]
     expected = (GOLDEN / "expected" / f"{case}.json").read_text()
     assert capsys.readouterr().out == expected
+
+
+# every case in one process: {case: [exit code, stdout]} as JSON
+_RUN_ALL = """
+import contextlib, io, json, sys
+from semiforge.cli import main
+if not sys.flags.optimize:
+    sys.exit("asserts are on")
+results = {}
+for case, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results[case] = [code, out.getvalue()]
+print(json.dumps(results))
+"""
+
+
+def test_outputs_do_not_depend_on_asserts():
+    env = dict(os.environ, PYTHONPATH=str(Path(semiforge.__file__).parent.parent))
+    argvs = json.dumps({case: _argv(case) for case in CASES})
+    run = subprocess.run([sys.executable, "-O", "-c", _RUN_ALL, argvs], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    results = json.loads(run.stdout)
+    for case, (code, _) in CASES.items():
+        expected = (GOLDEN / "expected" / f"{case}.json").read_text()
+        assert results[case] == [code, expected], case
 
 
 def test_dot_file_is_byte_identical(tmp_path, capsys):

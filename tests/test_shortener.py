@@ -4,9 +4,10 @@ import pytest
 
 from semiforge import (CapExceeded, InfiniteSemigroup, Mat,
                        NotACycle, Shortener, build_image_graph, cycle_rep,
-                       group_closure, image, is_torsion, shorten)
+                       group_closure, image, inverse, is_torsion, rank, shorten)
 from conftest import (PROJ_X, ROT90, all_words, mat, random_equal_rank_table,
-                      table_from)
+                      random_invertible, signed_partial_perm, table_from)
+from oracles import OracleShortener, peel_blocks
 
 # the rotation and a reflection of the xy-plane in Q^3, both of rank 2 with
 # that plane as image: their words stay in one SCC of the image graph
@@ -266,3 +267,37 @@ class TestShortener:
         s2 = Shortener(t)
         w = ("a", "b", "a", "a", "b", "a", "a", "a")
         assert s1.shorten(w) == s1.shorten(w) == s2.shorten(w)
+
+
+def _repeats_a_value_with_another_body(table, word) -> bool:
+    """Whether two rank-r blocks of `word` have one value but two bodies."""
+    segments, _ = peel_blocks(table, word, rank(table.evaluate(word)))
+    bodies = {}
+    for head, body in segments:
+        if bodies.setdefault(table.evaluate((head,) + body), body) != body:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_same_words_as_the_restarting_peel(n):
+    """One-pass peel against `OracleShortener`, which restarts every block
+    scan and shortens every block body: identical words. Letters are signed
+    partial permutations of rank n, n - 1 or n - 2 (a finite semigroup), every
+    other table rationally conjugated."""
+    rng = random.Random(60 + n)
+    repeats = 0
+    for i in range(10):
+        mats = [signed_partial_perm(rng, n, rng.choice((n, n, n - 1, n - 1, n - 2)))
+                for _ in range(rng.randint(2, 3))]
+        if i % 2:
+            T = random_invertible(rng, n)
+            mats = [inverse(T) * m * T for m in mats]
+        table = table_from(mats)
+        ours = Shortener(table, assume_finite=True)
+        oracle = OracleShortener(table, assume_finite=True)
+        for length in range(0, 31, 5):
+            word = tuple(rng.choice(table.alphabet) for _ in range(length))
+            assert ours.shorten(word) == oracle.shorten(word), (table.mapping, word)
+            repeats += bool(word) and _repeats_a_value_with_another_body(table, word)
+    assert repeats >= 5

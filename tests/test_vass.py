@@ -211,3 +211,19 @@ def test_apply_matches_the_fraction_loop(case):
     (c,) = step(AffineVass(len(v), ("q",), (t,)), Configuration("q", v))
     assert c == Configuration("q", oracle_apply(t, v))
     assert all(type(x) is int for x in c.vector)
+
+
+def test_deep_path_matches_the_scanning_loop():
+    # 752 steps: the answer is rebuilt from parent links, and the ties
+    # between equally short paths still go to the least indices
+    one = Mat.identity(1)
+    V = AffineVass(1, ("p", "q"), (
+        Transition("p", one, (1,), "p"),
+        Transition("p", one, (0,), "q"),
+        Transition("q", one, (2,), "q"),
+        Transition("q", one, (1,), "p"),
+    ))
+    source, target = Configuration("p", (0,)), Configuration("q", (1501,))
+    got = reach_bounded(V, source, target, 5000)
+    assert got == oracle_reach_bounded(V, source, target, 5000)
+    assert got.path == (0, 1) + (2,) * 750
