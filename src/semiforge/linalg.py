@@ -260,7 +260,8 @@ def rref(A: Mat) -> RrefResult:
 
 
 def rank(A: Mat) -> int:
-    return rref(A).rank
+    """The pivot count of the echelon form; the reduced form is not needed."""
+    return len(_eliminate(A.int_rows(), A.cols, reduced=False)[1])
 
 
 class Subspace:

@@ -48,9 +48,13 @@ def cycle_rep(table: MorphismTable, base: Subspace, word) -> Mat:
 class Shortener:
     """Word rewriter for one morphism table; results are deterministic.
 
-    Image graphs, group closures, cycle matrices and SCC paths are cached
-    across calls. The caches are keyed by value, so the derived alphabets
-    of the rank recursion reuse entries."""
+    Image graphs, group closures, cycle matrices, their inverses and SCC
+    paths are cached across calls. Image graphs and group closures are
+    keyed by their (label, matrix) pairs, and inverses by the matrix.
+    Cycle matrices are keyed by the table key, the base space and the
+    cycle word, and SCC paths by the table key and their end spaces: the
+    derived alphabets of the rank recursion reuse the labels s0, s1, ...
+    for other matrices, so a word means nothing without its table."""
 
     def __init__(self, table: MorphismTable, assume_finite: bool = False,
                  cap: int = DEFAULT_CAP):
@@ -64,6 +68,7 @@ class Shortener:
         self.graphs: dict = {}
         self.groups: dict = {}
         self.mprimes: dict = {}
+        self.inverses: dict[Mat, Mat] = {}
         self.paths: dict = {}
         self._memo: dict[Word, Word] = {}
 
@@ -100,10 +105,10 @@ class Shortener:
         cycles: dict[Mat, tuple[str, Word]] = {}
 
         def cycle(w: Word) -> Mat:
-            key = (base.basis, table.evaluate(w))
-            if key not in self.mprimes:
-                self.mprimes[key] = cycle_rep(table, base, w)
-            m = self.mprimes[key]
+            key = (table_key, base.basis, w)
+            m = self.mprimes.get(key)
+            if m is None:
+                m = self.mprimes[key] = cycle_rep(table, base, w)
             if m not in cycles:
                 cycles[m] = (f"c{len(cycles)}", w)
             return m
@@ -120,7 +125,10 @@ class Shortener:
             if back_and_forth:
                 # the proof appends this cycle order-minus-one times; its group
                 # element is simply the inverse
-                target = target * inverse(cycle(back_and_forth))
+                m = cycle(back_and_forth)
+                if m not in self.inverses:
+                    self.inverses[m] = inverse(m)
+                target = target * self.inverses[m]
             previous = b
         tail = sp(a, word[-1])
         gens = tuple(sorted((label, m) for m, (label, _) in cycles.items()))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from semiforge import (Mat, Subspace, det, image, inverse,
                        kernel, minimal_polynomial, rank, rref,
                        DimensionMismatch, NotInvertible)
 from semiforge.linalg import LinAlgError, stack
-from conftest import ROT90, mat
+from conftest import ROT90, mat, random_rational
 
 F = Fraction
 
@@ -281,6 +282,24 @@ class TestAgainstFractionOracle:
         assert res.pivots == pivots
         assert res.rank == rank(Mat(a, cols=c)) == len(pivots)
         assert_lowest_terms(res.matrix)
+
+    def test_rank_of_low_rank_products(self):
+        # random fractions are nearly always of full rank; an n x k times
+        # k x m product has rank at most k, so every k up to min(n, m)
+        # gives rank-deficient input, 0-row and 0-column shapes included
+        rng = random.Random(14)
+        deficient = 0
+        for n, m in itertools.product(range(6), repeat=2):
+            for k in range(min(n, m) + 1):
+                for _ in range(3):
+                    a = [[random_rational(rng) for _ in range(k)] for _ in range(n)]
+                    b = [[random_rational(rng) for _ in range(m)] for _ in range(k)]
+                    p = oracle_mul(a, b, k, m)
+                    expected = len(oracle_rref(p, m)[1])
+                    assert rank(Mat(p, cols=m)) == rank(Mat(a, cols=k) * Mat(b, cols=m)) == expected
+                    assert expected <= k
+                    deficient += 0 < expected < min(n, m)
+        assert deficient >= 80
 
     @given(dims.flatmap(lambda n: grids(n, n)))
     def test_det_and_inverse(self, a):

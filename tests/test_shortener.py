@@ -1,10 +1,12 @@
+import itertools
 import random
 
 import pytest
 
-from semiforge import (CapExceeded, InfiniteSemigroup, Mat,
+from semiforge import (CapExceeded, InfiniteSemigroup, Mat, MorphismTable,
                        NotACycle, Shortener, build_image_graph, cycle_rep,
                        group_closure, image, inverse, is_torsion, rank, shorten)
+from semiforge import shortener as shortener_module
 from conftest import (PROJ_X, ROT90, all_words, mat, random_equal_rank_table,
                       random_invertible, signed_partial_perm, table_from)
 from oracles import OracleShortener, peel_blocks
@@ -301,3 +303,87 @@ def test_same_words_as_the_restarting_peel(n):
             assert ours.shorten(word) == oracle.shorten(word), (table.mapping, word)
             repeats += bool(word) and _repeats_a_value_with_another_body(table, word)
     assert repeats >= 5
+
+
+def _cycle_letter(rng, n, rows, cols):
+    """A signed partial permutation with rows `rows` and columns `cols`: it
+    maps span(e_i : i in rows) onto span(e_j : j in cols)."""
+    m = [[0] * n for _ in range(n)]
+    for i, j in zip(rows, rng.sample(cols, len(cols))):
+        m[i][j] = rng.choice((-1, 1))
+    return Mat(m)
+
+
+# a cycle S0 -> S1 -> S2 -> S0 of row and column sets, with a second
+# letter on the first edge so that walks have choices
+CYCLE_EDGES = {"a": (0, 1), "b": (1, 2), "c": (2, 0), "d": (0, 1)}
+LEAVING = {s: [x for x, (u, _) in CYCLE_EDGES.items() if u == s] for s in range(3)}
+
+
+def _cycle_tables(rng, count, n=5, r=3):
+    """Tables of rank-r signed partial permutations on the edges of
+    CYCLE_EDGES, every other one rationally conjugated."""
+    subsets = [list(s) for s in itertools.combinations(range(n), r)]
+    tables = []
+    for i in range(count):
+        S = rng.sample(subsets, 3)
+        mats = {x: _cycle_letter(rng, n, S[s], S[t]) for x, (s, t) in CYCLE_EDGES.items()}
+        if i % 2:
+            T = random_invertible(rng, n)
+            mats = {x: inverse(T) * m * T for x, m in mats.items()}
+        tables.append(table_from(mats))
+    return tables
+
+
+def test_warm_shortener_matches_fresh_ones():
+    """One warm `Shortener` per table against a fresh `shorten` and the
+    restarting peel, on walks around the cycle and free words. Later words
+    hit cycle matrices cached by earlier ones, whose derived sub-tables
+    reused the labels s0, s1, ... for other matrices."""
+    rng = random.Random(14)
+    words = clashes = 0
+    for table in _cycle_tables(rng, 4):
+        warm = Shortener(table)
+        for _ in range(8):
+            at, walk = rng.randrange(3), []
+            for _ in range(rng.randint(4, 14)):
+                walk.append(rng.choice(LEAVING[at]))
+                at = CYCLE_EDGES[walk[-1]][1]
+            free = tuple(rng.choice(table.alphabet) for _ in range(rng.randint(8, 20)))
+            for word in (tuple(walk), free):
+                u = warm.shorten(word)
+                assert u == shorten(table, word, assume_finite=True)
+                assert u == OracleShortener(table, assume_finite=True).shorten(word)
+                assert table.evaluate(u) == table.evaluate(word)
+                words += 1
+        # every cached cycle matrix is the one its own sub-table gives; count
+        # the cycle words over one base space that name two matrices
+        values = {}
+        for (table_key, basis, w), m in warm.mprimes.items():
+            sub = MorphismTable(table.n, tuple(x for x, _ in table_key), dict(table_key))
+            assert m == cycle_rep(sub, image(basis), w)
+            values.setdefault((basis, w), set()).add(m)
+        clashes += sum(len(ms) > 1 for ms in values.values())
+    assert words >= 50 and clashes >= 5
+
+
+def test_repeated_cycles_are_not_recomputed(monkeypatch):
+    calls = []
+    real = shortener_module.cycle_rep
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(shortener_module, "cycle_rep", counting)
+    t = table_from({"a": ROT_PLANE, "b": REFLECT_PLANE})
+    s = Shortener(t)
+    s.shorten(("a", "b", "b", "a", "b"))
+    seen = len(calls)
+    assert seen >= 2
+    # the same derived letters (a comes first, so s0 = a and s1 = b) and the
+    # same cycles around their one image space, in another order
+    word = ("a", "b", "a", "b", "b", "a")
+    u = s.shorten(word)
+    assert len(calls) == seen
+    assert t.evaluate(u) == t.evaluate(word)
