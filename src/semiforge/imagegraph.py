@@ -1,12 +1,14 @@
 """The directed labelled graph of rank-r image subspaces.
 
-Vertices are the images of rank-r words, edges (V, a, im a) exist exactly
-when V meets ker a trivially, that is when x -> x*M(a) is injective on V,
-which is tested as rank(basis(V) * M(a)) == r. A rank-r prefix with image
-V keeps rank r under a exactly when that edge exists, so rank questions
-about words are walks in the graph. Since the edge label determines the
-edge target, the graph is stored as per-vertex letter maps. SCC indices
-are assigned in reverse topological order of the condensation.
+Vertices are the images of rank-r words, which are the distinct letter
+images in alphabet order: im(M(w)*M(a)) lies in im a, and both have
+dimension r. Edges (V, a, im a) exist exactly when V meets ker a
+trivially, that is when x -> x*M(a) is injective on V, which is tested as
+rank(basis(V) * M(a)) == r. A rank-r prefix with image V keeps rank r
+under a exactly when that edge exists, so rank questions about words are
+walks in the graph. Since the edge label determines the edge target, the
+graph is stored as per-vertex letter maps. SCC indices are assigned in
+reverse topological order of the condensation.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ class ImageGraph:
     table: MorphismTable
     rank: int
     vertices: tuple[Subspace, ...]
-    letter_image: dict[str, Subspace]
-    out: dict[Subspace, dict[str, Subspace]]
+    letter_image: dict[object, Subspace]
+    out: dict[Subspace, dict[object, Subspace]]
     scc_id: dict[Subspace, int]
     num_sccs: int
     condensation: frozenset[tuple[int, int]]
@@ -98,29 +100,10 @@ def build_image_graph(table: MorphismTable) -> ImageGraph:
         raise MixedRankGenerators(f"generator ranks {ranks!r} are not all equal")
     r = distinct.pop()
 
-    vertices: list[Subspace] = []
-    seen: set[Subspace] = set()
-    for a in table.alphabet:
-        V = letter_image[a]
-        if V not in seen:
-            seen.add(V)
-            vertices.append(V)
-    out: dict[Subspace, dict[str, Subspace]] = {}
-    queue = list(vertices)
-    i = 0
-    while i < len(queue):
-        V = queue[i]
-        i += 1
-        adjacency = {}
-        for a in table.alphabet:
-            if rank(V.basis * table.mapping[a]) == r:
-                W = letter_image[a]
-                adjacency[a] = W
-                if W not in seen:
-                    seen.add(W)
-                    vertices.append(W)
-                    queue.append(W)
-        out[V] = adjacency
+    vertices = tuple(dict.fromkeys(letter_image.values()))
+    out = {V: {a: letter_image[a] for a in table.alphabet
+               if rank(V.basis * table.mapping[a]) == r}
+           for V in vertices}
 
     components = _tarjan(vertices, lambda v: out[v].values())
     scc_id = {}
@@ -133,7 +116,7 @@ def build_image_graph(table: MorphismTable) -> ImageGraph:
         for w in out[v].values()
         if scc_id[v] != scc_id[w]
     )
-    return ImageGraph(table, r, tuple(vertices), letter_image, out, scc_id,
+    return ImageGraph(table, r, vertices, letter_image, out, scc_id,
                       len(components), condensation)
 
 
@@ -162,7 +145,7 @@ def scc_shortest_path(G: ImageGraph, V1: Subspace, V2: Subspace) -> Word:
     raise NotSameSCC("no path found despite matching SCC ids")
 
 
-def scc_segment_decompose(G: ImageGraph, word) -> list[tuple[str, Word]]:
+def scc_segment_decompose(G: ImageGraph, word) -> list[tuple[object, Word]]:
     """Split a rank-r word into maximal runs of letters whose images share
     an SCC; consecutive runs lie in different SCCs. Raises RankDropped
     naming the first prefix whose rank is below r."""
@@ -171,7 +154,7 @@ def scc_segment_decompose(G: ImageGraph, word) -> list[tuple[str, Word]]:
         raise ValueError("word must be nonempty")
     # the image of each rank-r prefix is a vertex; the next letter keeps
     # rank r exactly when it labels an edge out of that vertex
-    segments: list[tuple[str, Word]] = []
+    segments: list[tuple[object, Word]] = []
     head, body = word[0], []
     V = G.letter_image[head]
     for i, a in enumerate(word[1:], 2):

@@ -12,7 +12,7 @@ from operator import mul
 
 from .linalg import DimensionMismatch, Mat
 
-Word = tuple  # tuple[str, ...]
+Word = tuple  # of letters, any hashable labels
 
 
 class NotMember(KeyError):
@@ -37,11 +37,13 @@ DEFAULT_CAP = 1_000_000
 
 @dataclass
 class MorphismTable:
-    """Alphabet plus the letter-to-matrix map; words evaluate as products."""
+    """Alphabet plus the letter-to-matrix map; words evaluate as products.
+    A letter is any hashable label: the Shortener's derived letters are
+    matrices, each standing for itself."""
 
     n: int
-    alphabet: tuple[str, ...]
-    mapping: dict[str, Mat]
+    alphabet: tuple[object, ...]
+    mapping: dict[object, Mat]
 
     def __post_init__(self):
         self.alphabet = tuple(self.alphabet)
@@ -62,9 +64,6 @@ class MorphismTable:
         for a in letters:
             m = m * self.mapping[a]
         return m
-
-    def key(self) -> tuple:
-        return tuple((a, self.mapping[a]) for a in self.alphabet)
 
 
 @dataclass

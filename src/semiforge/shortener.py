@@ -49,12 +49,8 @@ class Shortener:
     """Word rewriter for one morphism table; results are deterministic.
 
     Image graphs, group closures, cycle matrices, their inverses and SCC
-    paths are cached across calls. Image graphs and group closures are
-    keyed by their (label, matrix) pairs, and inverses by the matrix.
-    Cycle matrices are keyed by the table key, the base space and the
-    cycle word, and SCC paths by the table key and their end spaces: the
-    derived alphabets of the rank recursion reuse the labels s0, s1, ...
-    for other matrices, so a word means nothing without its table."""
+    paths are cached across calls. Every cache is keyed by values: a
+    derived letter of the rank recursion is its own matrix."""
 
     def __init__(self, table: MorphismTable, assume_finite: bool = False,
                  cap: int = DEFAULT_CAP):
@@ -86,17 +82,16 @@ class Shortener:
             self.groups[gens] = group_closure(MorphismTable(target.rows, labels, dict(gens)))
         return shortest_word_for(self.groups[gens], target)
 
-    def _within_scc(self, G: ImageGraph, a: str, word: Word) -> Word:
+    def _within_scc(self, G: ImageGraph, a: object, word: Word) -> Word:
         """Rewrite a path that stays in the SCC of im(a): same value after
         the leading letter, length bounded independently of the input."""
         if not word:
             return ()
         table = G.table
-        table_key = table.key()
         base = G.letter_image[a]
 
-        def sp(x: str, y: str) -> Word:
-            key = (table_key, G.letter_image[x].basis, G.letter_image[y].basis)
+        def sp(x: object, y: object) -> Word:
+            key = (table.alphabet, G.letter_image[x].basis, G.letter_image[y].basis)
             if key not in self.paths:
                 self.paths[key] = scc_shortest_path(G, G.letter_image[x], G.letter_image[y])
             return self.paths[key]
@@ -105,16 +100,16 @@ class Shortener:
         cycles: dict[Mat, tuple[str, Word]] = {}
 
         def cycle(w: Word) -> Mat:
-            key = (table_key, base.basis, w)
-            m = self.mprimes.get(key)
+            # a word over matrices fixes its value, whose image is the base
+            m = self.mprimes.get(w)
             if m is None:
-                m = self.mprimes[key] = cycle_rep(table, base, w)
+                m = self.mprimes[w] = cycle_rep(table, base, w)
             if m not in cycles:
                 cycles[m] = (f"c{len(cycles)}", w)
             return m
 
         target = Mat.identity(base.dim)
-        previous: str | None = None
+        previous = None
         for b in word:
             if previous is None:
                 around = (b,) + sp(b, a)
@@ -143,10 +138,9 @@ class Shortener:
 
     def _max_rank(self, table: MorphismTable, word: Word) -> Word:
         """Equal-rank case: rewrite a rank-r word over rank-r generators."""
-        key = table.key()
-        if key not in self.graphs:
-            self.graphs[key] = build_image_graph(table)
-        G = self.graphs[key]
+        if table.alphabet not in self.graphs:
+            self.graphs[table.alphabet] = build_image_graph(table)
+        G = self.graphs[table.alphabet]
         u = tuple(x for head, body in scc_segment_decompose(G, word)
                   for x in (head,) + self._within_scc(G, head, body))
         assert table.evaluate(u) == table.evaluate(word)
@@ -177,20 +171,16 @@ class Shortener:
                 end, m = j, None
 
         short_prefix = self.shorten(word[:end])
-        # one derived letter per block value, spelled by its first block
-        derived: dict[Mat, tuple[str, Word]] = {}
-        derived_word: list[str] = []
+        # each block value is a derived letter, spelled by its first block
+        replacement: dict[Mat, Word] = {}
         for start, stop, m in reversed(blocks):
-            if m not in derived:
+            if m not in replacement:
                 head, short_body = word[start], self.shorten(word[start + 1:stop])
                 assert table.mapping[head] * table.evaluate(short_body) == m
-                derived[m] = (f"s{len(derived)}", (head,) + short_body)
-            derived_word.append(derived[m][0])
-        sub_table = MorphismTable(n, tuple(name for name, _ in derived.values()),
-                                  {name: m for m, (name, _) in derived.items()})
-        replacement = dict(derived.values())
+                replacement[m] = (head,) + short_body
+        sub_table = MorphismTable(n, tuple(replacement), {m: m for m in replacement})
         try:
-            x = self._max_rank(sub_table, tuple(derived_word))
+            x = self._max_rank(sub_table, tuple(m for *_, m in reversed(blocks)))
         except InfiniteSemigroup as exc:
             raise InfiniteSemigroup(_spell(exc.witness, replacement)) from None
         u = short_prefix + _spell(x, replacement)

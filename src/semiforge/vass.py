@@ -27,6 +27,8 @@ class AffineVass:
     transitions: tuple[Transition, ...]
 
     def __post_init__(self):
+        if self.d < 0:
+            raise ValueError(f"'d' must be at least 0, got {self.d}")
         self.states = tuple(self.states)
         known = set(self.states)
         for t in self.transitions:

@@ -271,7 +271,7 @@ def peel_blocks(table, word, r):
 
 class OracleShortener(Shortener):
     """`Shortener` whose `_shorten` shortens the body of every peeled block
-    and keys its derived letter by the value of the shortened block."""
+    and takes the value of the shortened block as its derived letter."""
 
     def _shorten(self, word):
         table = self.table
@@ -294,7 +294,7 @@ class OracleShortener(Shortener):
             m = table.mapping[head] * table.evaluate(short_body)
             assert rank(m) == r
             if m not in derived:
-                derived[m] = (f"s{len(derived)}", (head,) + short_body)
+                derived[m] = (m, (head,) + short_body)
             derived_word.append(derived[m][0])
         sub_table = MorphismTable(n, tuple(name for name, _ in derived.values()),
                                   {name: m for m, (name, _) in derived.items()})

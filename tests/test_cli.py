@@ -81,6 +81,18 @@ class TestFiniteness:
     def test_missing_file(self, capsys):
         assert main(["finiteness", "/nonexistent.json"]) == 1
 
+    @pytest.mark.parametrize("raw, message", [
+        (b'{"n": 1}\xff', "can't decode byte 0xff"),
+        (b'{"n": ' + b"1" * 4301 + b"}", "Exceeds the limit (4300 digits)"),
+    ])
+    def test_undecodable_file_is_exit_1(self, capsys, tmp_path, raw, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        assert main(["finiteness", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {bad}: ")
+        assert message in captured.err
+
 
 class TestClosure:
     def test_lists_elements(self, capsys, rot90_file):
@@ -232,6 +244,13 @@ class TestVass:
                      "--to", "q:3", "--budget", "10"]) == 1
         assert main(["vass-reach", counter_file, "--from", "r:0",
                      "--to", "q:3", "--budget", "10"]) == 1
+
+    def test_reach_config_past_the_digit_limit(self, capsys, counter_file):
+        assert main(["vass-reach", counter_file, "--from", "q:" + "1" * 4301,
+                     "--to", "q:3", "--budget", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: bad configuration")
+        assert "Exceeds the limit (4300 digits)" in captured.err
 
     @pytest.mark.parametrize("config", ["q:1,,2", "q:1_0,2", "q:1,2,", "q: 1,2", "q:+1,2",
                                         "q:1,0x2", "q:1,\u0663", "q:", ":1,2"])
@@ -500,6 +519,13 @@ class TestStrictShapes:
          "letter 'a,b' is empty or contains ','"),
         ("wa-finite", {**_AUTOMATON, "alphabet": [""], "transitions": {"": {"entries": [["1"]]}}},
          "letter '' is empty or contains ','"),
+        ("vass-fmp", {**_VASS, "d": -1, "transitions": []}, "'d' must be at least 0, got -1"),
+        ("wa-finite", {**_AUTOMATON, "transitions": {"a": {"entries": [[1, 0], [0, 1]]}}},
+         "transition 'a' is not 1x1"),
+        ("wa-finite", {**_AUTOMATON, "eta": ["1", "1"]}, "alpha and eta must have n entries"),
+        ("wa-finite", {**_AUTOMATON, "alphabet": ["a", "a"]}, "alphabet letters must be distinct"),
+        ("vass-fmp", {**_VASS, "transitions": [dict(_VASS["transitions"][0], b=[1, 2])]},
+         "transition 0: offset is not length 1"),
     ])
     def test_malformed_shape_is_a_parse_error(self, capsys, tmp_path, command, doc, message):
         path = tmp_path / "input.json"

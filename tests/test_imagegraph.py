@@ -6,7 +6,7 @@ import pytest
 from semiforge import (Mat, MixedRankGenerators, NotSameSCC, RankDropped,
                        build_image_graph, image, inverse, scc_segment_decompose,
                        scc_shortest_path, to_dot)
-from conftest import (PROJ_X, PROJ_Y, ROT90, bfs_distance, mat, random_invertible,
+from conftest import (PROJ_X, PROJ_Y, ROT90, all_words, bfs_distance, mat, random_invertible,
                       random_equal_rank_table, table_from)
 from oracles import kernel_edges, prefix_scan_decompose
 
@@ -154,14 +154,19 @@ def test_to_dot_structure():
 
 
 def test_vertices_are_reachable_images():
+    """The vertices are the distinct letter images in alphabet order, and
+    they hold the image of every rank-r word."""
     rng = random.Random(29)
     for _ in range(10):
         table, r = random_equal_rank_table(rng)
         G = build_image_graph(table)
         for v in G.vertices:
             assert v.dim == r
-        for a in table.alphabet:
-            assert image(table.mapping[a]) in G.vertices
+        images = [image(table.mapping[a]) for a in table.alphabet]
+        assert list(G.vertices) == [V for i, V in enumerate(images) if V not in images[:i]]
+        for w in all_words(table.alphabet, 4):
+            V = image(table.evaluate(w))
+            assert V.dim < r or V in G.vertices
 
 
 # ------------------------------------------- differential against oracles

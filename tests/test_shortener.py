@@ -338,10 +338,10 @@ def _cycle_tables(rng, count, n=5, r=3):
 def test_warm_shortener_matches_fresh_ones():
     """One warm `Shortener` per table against a fresh `shorten` and the
     restarting peel, on walks around the cycle and free words. Later words
-    hit cycle matrices cached by earlier ones, whose derived sub-tables
-    reused the labels s0, s1, ... for other matrices."""
+    hit cycle matrices cached by earlier ones, keyed by the cycle word over
+    derived letters, which are matrices."""
     rng = random.Random(14)
-    words = clashes = 0
+    words = 0
     for table in _cycle_tables(rng, 4):
         warm = Shortener(table)
         for _ in range(8):
@@ -356,15 +356,13 @@ def test_warm_shortener_matches_fresh_ones():
                 assert u == OracleShortener(table, assume_finite=True).shorten(word)
                 assert table.evaluate(u) == table.evaluate(word)
                 words += 1
-        # every cached cycle matrix is the one its own sub-table gives; count
-        # the cycle words over one base space that name two matrices
-        values = {}
-        for (table_key, basis, w), m in warm.mprimes.items():
-            sub = MorphismTable(table.n, tuple(x for x, _ in table_key), dict(table_key))
-            assert m == cycle_rep(sub, image(basis), w)
-            values.setdefault((basis, w), set()).add(m)
-        clashes += sum(len(ms) > 1 for ms in values.values())
-    assert words >= 50 and clashes >= 5
+        # every cached cycle matrix is the one its word alone gives: the
+        # word's letters are matrices, and its image is the base space
+        for w, m in warm.mprimes.items():
+            letters = tuple(dict.fromkeys(w))
+            sub = MorphismTable(table.n, letters, {x: x for x in letters})
+            assert m == cycle_rep(sub, image(sub.evaluate(w)), w)
+    assert words >= 50
 
 
 def test_repeated_cycles_are_not_recomputed(monkeypatch):
@@ -381,8 +379,8 @@ def test_repeated_cycles_are_not_recomputed(monkeypatch):
     s.shorten(("a", "b", "b", "a", "b"))
     seen = len(calls)
     assert seen >= 2
-    # the same derived letters (a comes first, so s0 = a and s1 = b) and the
-    # same cycles around their one image space, in another order
+    # the same derived letters (the matrices of a and b) and the same
+    # cycles around their one image space, in another order
     word = ("a", "b", "a", "b", "b", "a")
     u = s.shorten(word)
     assert len(calls) == seen
