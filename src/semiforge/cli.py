@@ -43,6 +43,8 @@ def _load_json(path: str):
         raise CliError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except ValueError as exc:  # not UTF-8, or an integer past the digit limit
         raise CliError(f"{path}: {exc}")
+    except RecursionError:
+        raise CliError(f"{path}: nested too deeply")
 
 
 def _write(path: str, text: str):
@@ -168,12 +170,15 @@ def cmd_bound(args) -> tuple[int, dict]:
 
 
 def cmd_integerize(args) -> tuple[int, dict]:
+    cap = _cap(args.cap)
     table = generators_from_json(_load_json(args.input))
     try:
-        G = group_closure(table)
+        G = group_closure(table, cap)
         C = integerize(G)
     except InfiniteSemigroup as exc:
         return _infinite(exc.witness, table.alphabet)
+    except CapExceeded:
+        return _exceeded(cap)
     Cinv = inverse(C)
     conjugated = {a: matrix_to_json(C * table.mapping[a] * Cinv) for a in table.alphabet}
     return 0, {"status": "finite", "order": G.order,
@@ -278,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("integerize", cmd_integerize, help="conjugate a finite group into GL(n,Z)")
     p.add_argument("input")
+    p.add_argument("--cap", type=int)
 
     p = add("image-graph", cmd_image_graph, help="build the rank-r image graph")
     p.add_argument("input")

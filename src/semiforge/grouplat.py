@@ -11,7 +11,8 @@ from functools import reduce
 from typing import Iterable, Sequence
 
 from .linalg import Mat, det, inverse, rank, stack
-from .semigroup import ClosureResult, InfiniteSemigroup, MorphismTable, _bfs, _letters
+from .semigroup import (DEFAULT_CAP, CapExceeded, ClosureResult, InfiniteSemigroup, MorphismTable,
+                        _bfs, _letters)
 
 
 class NonInvertibleGenerator(ValueError):
@@ -27,17 +28,21 @@ class FiniteGroupClosure(ClosureResult):
         return len(self.witness)
 
 
-def group_closure(table: MorphismTable) -> FiniteGroupClosure:
+def group_closure(table: MorphismTable, cap: int = DEFAULT_CAP) -> FiniteGroupClosure:
     """BFS closure from the identity under right multiplication.
 
     Raises InfiniteSemigroup on a non-torsion element or when the closure
-    exceeds the (2n)! cap (either certifies infinitude).
+    exceeds (2n)! elements (either certifies infinitude), and CapExceeded
+    when it exceeds `cap` elements first.
     """
     n, letters = table.n, _letters(table)
     for a, m in letters:
         if rank(m) != n:
             raise NonInvertibleGenerator(f"generator {a!r} is singular")
-    witness, status, word = _bfs(letters, math.factorial(2 * n), identity=Mat.identity(n))
+    bound = math.factorial(2 * n)
+    witness, status, word = _bfs(letters, min(cap, bound), identity=Mat.identity(n))
+    if status == "exceeded_cap" and cap < bound:
+        raise CapExceeded(f"the group has more than {cap} elements")
     if status != "finite":
         raise InfiniteSemigroup(word)
     return FiniteGroupClosure(n, witness)

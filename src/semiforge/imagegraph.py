@@ -92,8 +92,15 @@ def _tarjan(vertices, neighbors):
     return components
 
 
-def build_image_graph(table: MorphismTable) -> ImageGraph:
-    letter_image = {a: image(table.mapping[a]) for a in table.alphabet}
+def build_image_graph(table: MorphismTable, memo: dict | None = None) -> ImageGraph:
+    """The image graph of `table`. `memo`, when given, maps a matrix to its
+    image and a (vertex, matrix) pair to its edge test; its keys are values,
+    so graphs built with one memo share those results and nothing else."""
+    memo = {} if memo is None else memo
+    for m in table.mapping.values():
+        if m not in memo:
+            memo[m] = image(m)
+    letter_image = {a: memo[table.mapping[a]] for a in table.alphabet}
     ranks = {a: V.dim for a, V in letter_image.items()}
     distinct = set(ranks.values())
     if len(distinct) != 1:
@@ -101,8 +108,11 @@ def build_image_graph(table: MorphismTable) -> ImageGraph:
     r = distinct.pop()
 
     vertices = tuple(dict.fromkeys(letter_image.values()))
-    out = {V: {a: letter_image[a] for a in table.alphabet
-               if rank(V.basis * table.mapping[a]) == r}
+    for V in vertices:
+        for m in table.mapping.values():
+            if (V, m) not in memo:
+                memo[V, m] = rank(V.basis * m) == r
+    out = {V: {a: letter_image[a] for a in table.alphabet if memo[V, table.mapping[a]]}
            for V in vertices}
 
     components = _tarjan(vertices, lambda v: out[v].values())

@@ -20,7 +20,7 @@ class ParseError(ValueError):
 
 
 # at most 4300 digits each, Python's default int <-> str limit
-_FRACTION_RE = re.compile(r"^(-?\d{1,4300})(?:/(\d{1,4300}))?$")
+_FRACTION_RE = re.compile(r"(-?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -52,7 +52,7 @@ def frac_from_str(s) -> Fraction:
         return Fraction(s)
     if not isinstance(s, str):
         raise ParseError(f"expected a rational string, got {s!r}")
-    m = _FRACTION_RE.match(s.strip())
+    m = _FRACTION_RE.fullmatch(s)
     if not m:
         raise ParseError(f"malformed rational {s!r}")
     num = int(m.group(1))

@@ -11,6 +11,8 @@ the computed word).
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .grouplat import group_closure
 from .imagegraph import ImageGraph, build_image_graph, scc_segment_decompose, scc_shortest_path
 from .linalg import Mat, Subspace, image, inverse, rank
@@ -48,9 +50,10 @@ def cycle_rep(table: MorphismTable, base: Subspace, word) -> Mat:
 class Shortener:
     """Word rewriter for one morphism table; results are deterministic.
 
-    Image graphs, group closures, cycle matrices, their inverses and SCC
-    paths are cached across calls. Every cache is keyed by values: a
-    derived letter of the rank recursion is its own matrix."""
+    Image graphs, the image and edge tests they are built from, group
+    closures, cycle matrices, their inverses and SCC paths are cached
+    across calls. Every cache is keyed by values: a derived letter of the
+    rank recursion is its own matrix."""
 
     def __init__(self, table: MorphismTable, assume_finite: bool = False,
                  cap: int = DEFAULT_CAP):
@@ -61,7 +64,10 @@ class Shortener:
                 raise InfiniteSemigroup(verdict.witness)
             if verdict.status == "exceeded_cap":
                 raise CapExceeded(f"no finiteness verdict within cap {cap}")
+        self.cap = cap
+        self.letter_rank = {a: rank(m) for a, m in table.mapping.items()}
         self.graphs: dict = {}
+        self.image_tests: dict = {}
         self.groups: dict = {}
         self.mprimes: dict = {}
         self.inverses: dict[Mat, Mat] = {}
@@ -79,12 +85,14 @@ class Shortener:
         for `target`, at most |group| - 1 letters."""
         if gens not in self.groups:
             labels = tuple(a for a, _ in gens)
-            self.groups[gens] = group_closure(MorphismTable(target.rows, labels, dict(gens)))
+            self.groups[gens] = group_closure(MorphismTable(target.rows, labels, dict(gens)),
+                                              self.cap)
         return shortest_word_for(self.groups[gens], target)
 
-    def _within_scc(self, G: ImageGraph, a: object, word: Word) -> Word:
+    def _within_scc(self, G: ImageGraph, a: object, word: Word, value: Mat | None) -> Word:
         """Rewrite a path that stays in the SCC of im(a): same value after
-        the leading letter, length bounded independently of the input."""
+        the leading letter, length bounded independently of the input.
+        `value` is M(a)*M(word), for the self-check (None under -O)."""
         if not word:
             return ()
         table = G.table
@@ -133,17 +141,22 @@ class Shortener:
         except InfiniteSemigroup as exc:
             # a non-torsion M' makes M(w) non-torsion: P*M(w)^k = M'^k*P
             raise InfiniteSemigroup(_spell(exc.witness, label_word)) from None
-        assert table.evaluate((a,) + u) == table.evaluate((a,) + word)
+        assert table.evaluate((a,) + u) == value
         return word if len(word) < len(u) else u
 
     def _max_rank(self, table: MorphismTable, word: Word) -> Word:
         """Equal-rank case: rewrite a rank-r word over rank-r generators."""
         if table.alphabet not in self.graphs:
-            self.graphs[table.alphabet] = build_image_graph(table)
+            self.graphs[table.alphabet] = build_image_graph(table, self.image_tests)
         G = self.graphs[table.alphabet]
-        u = tuple(x for head, body in scc_segment_decompose(G, word)
-                  for x in (head,) + self._within_scc(G, head, body))
-        assert table.evaluate(u) == table.evaluate(word)
+        segments = scc_segment_decompose(G, word)
+        # the self-checks compare against each segment's value, computed once
+        # from the input (and not at all under -O), and against their product
+        values = [table.evaluate((head,) + body) if __debug__ else None
+                  for head, body in segments]
+        u = tuple(x for (head, body), value in zip(segments, values)
+                  for x in (head,) + self._within_scc(G, head, body, value))
+        assert table.evaluate(u) == reduce(Mat.__mul__, values)
         return word if len(word) < len(u) else u
 
     def _shorten(self, word: Word) -> Word:
@@ -158,15 +171,19 @@ class Shortener:
             used = set(word)
             letters = tuple(a for a in table.alphabet if a in used)
             u = self._group_word(tuple((a, table.mapping[a]) for a in letters), value)
+            assert table.evaluate(u) == value
             return word if len(word) < len(u) else u
 
         # one right-to-left pass cuts rank-r blocks (head letter + body of
-        # rank > r) and keeps their products; the rest has rank > r
+        # rank > r) and keeps their products; the rest has rank > r. A block
+        # ends at any letter of rank r: rank(M(a)*m) <= rank M(a) = r, and no
+        # subword of a rank-r word has rank below r
         blocks: list[tuple[int, int, Mat]] = []
         end, m = len(word), None
         for j in range(len(word) - 1, -1, -1):
-            m = table.mapping[word[j]] if m is None else table.mapping[word[j]] * m
-            if rank(m) == r:
+            a = word[j]
+            m = table.mapping[a] if m is None else table.mapping[a] * m
+            if self.letter_rank[a] == r or rank(m) == r:
                 blocks.append((j, end, m))
                 end, m = j, None
 

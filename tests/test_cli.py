@@ -8,6 +8,7 @@ from semiforge import is_torsion, length_bound, size_bound
 from semiforge.semigroup import g_upper_bound
 from semiforge.cli import build_parser, main
 from semiforge.serialize import generators_from_json, matrix_to_json, parse_word
+from conftest import signed_perm_generators
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -197,6 +198,26 @@ class TestIntegerize:
         assert code == 0
         assert out["status"] == "infinite"
 
+    @pytest.fixture
+    def hyperoctahedral5(self, tmp_path):
+        """An n-cycle, a sign change and a transposition at n = 5: the
+        signed permutation group of order 3840."""
+        return gens_file(tmp_path, {a: m.int_rows() for a, m
+                                    in zip("cst", signed_perm_generators(5))})
+
+    def test_cap_is_exit_2(self, capsys, hyperoctahedral5):
+        code, out = run(capsys, "integerize", hyperoctahedral5, "--cap", "100")
+        assert code == 2
+        assert out == {"status": "exceeded_cap", "cap": 100}
+
+    def test_cap_from_the_environment(self, capsys, monkeypatch, hyperoctahedral5):
+        monkeypatch.setenv("SEMIFORGE_CAP", "3839")
+        code, out = run(capsys, "integerize", hyperoctahedral5)
+        assert code == 2
+        assert out == {"status": "exceeded_cap", "cap": 3839}
+        code, out = run(capsys, "integerize", hyperoctahedral5, "--cap", "3840")
+        assert code == 0 and out["order"] == 3840
+
 
 class TestImageGraph:
     def test_json_and_dot(self, capsys, rot90_file, tmp_path):
@@ -323,7 +344,7 @@ class TestDocumentedExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "must be at least 1" in captured.err
 
-    @pytest.mark.parametrize("command", ["finiteness", "closure", "shorten"])
+    @pytest.mark.parametrize("command", ["finiteness", "closure", "shorten", "integerize"])
     def test_cap_zero_is_exit_1(self, capsys, rot90_file, command):
         extra = ["--word", "a"] if command == "shorten" else []
         assert main([command, rot90_file, "--cap", "0", *extra]) == 1
@@ -410,6 +431,26 @@ class TestSizeBoundText:
         assert out["size_bound"] == str(size_bound(1, m))
         _, out = run(capsys, "bound", "--n", "1", "--m", str(m + 1))
         assert out["size_bound"] == f"({m + 1}^(128+1) - {m + 1})/({m + 1} - 1)"
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("command, extra", [
+        ("finiteness", []), ("integerize", []), ("wa-finite", []), ("vass-fmp", []),
+        ("vass-reach", ["--from", "q:0", "--to", "q:0", "--budget", "1"])])
+    def test_deep_json_is_exit_1(self, capsys, tmp_path, command, extra):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert main([command, str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}: nested too deeply\n"
+
+    # spaces, a newline, a fullwidth and an Arabic-Indic digit one
+    @pytest.mark.parametrize("entry", [" 1", "1 ", "1\n", "\uff11", "\u0661", "1/\uff12"])
+    def test_entries_are_ascii_digits(self, capsys, tmp_path, entry):
+        path = gens_file(tmp_path, {"a": [[entry]]})
+        assert main(["finiteness", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"malformed rational {entry!r}" in captured.err
 
 
 class TestVassEntriesMustBeIntegers:

@@ -6,6 +6,10 @@ replaced by arbitrary JSON or deleted, and is run in-process through
 escapes as a traceback, and exits 0 and 2 print one JSON document. The
 words printed on exit 0 read back to the values they stand for, and a
 printed witness of infiniteness to a matrix that is not torsion.
+
+Hostile documents, nested deeper than Python's recursion limit or near
+it, or declaring a huge `n` or `d` over tiny bodies, end in exit 1 with
+an `error:` line.
 """
 
 import json
@@ -116,7 +120,7 @@ COMMANDS = {
     "shorten": (generators_doc(), st.tuples(
         st.just("--word"), st.text(alphabet="abc,", max_size=6), st.just("--cap"), cap)
         .flatmap(lambda t: st.sampled_from([t, t + ("--assume-finite",)]))),
-    "integerize": (generators_doc(), st.just(())),
+    "integerize": (generators_doc(), st.one_of(st.just(()), st.tuples(st.just("--cap"), cap))),
     "image-graph": (generators_doc(), st.just(())),
     "wa-finite": (automaton_doc(), st.tuples(st.just("--cap"), cap)),
     "vass-fmp": (vass_doc(), st.tuples(st.just("--cap"), cap)),
@@ -174,5 +178,67 @@ def test_every_input_ends_in_a_documented_exit_code(command, workdir, capsys):
             out = json.loads(captured.out)
             if code == 0 and command in ("finiteness", "closure", "shorten"):
                 _words_read_back(doc, args, out)
+
+    check()
+
+
+FILE_COMMANDS = sorted(c for c, (doc, _) in COMMANDS.items() if doc is not None)
+_DEEP = "@@deep@@"
+
+
+@st.composite
+def deep_text(draw, valid):
+    """JSON text of a document from `valid`, whole or with one part
+    replaced by lists and objects nested hundreds to 100000 deep."""
+    doc = draw(valid)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    depth = draw(st.one_of(st.integers(500, 3000), st.just(100000)))
+    # a short pattern of lists and objects, repeated down to the depth
+    pattern = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    kinds = [pattern[i % len(pattern)] for i in range(depth)]
+    deep = "".join('{"k": ' if k else "[" for k in kinds) + "0" + \
+        "".join("}" if k else "]" for k in reversed(kinds))
+    return json.dumps(_edit(doc, path, _DEEP)).replace(json.dumps(_DEEP), deep)
+
+
+def _oversized(doc):
+    """The document with its dimension raised far past its bodies; a VASS
+    keeps at least one transition, since none is a valid model at any d."""
+    return st.sampled_from([5, 1000, 10 ** 6, 10 ** 18]).map(
+        lambda big: {**doc, ("d" if "d" in doc else "n"): big})
+
+
+def _refused(command, args, text, path, capsys):
+    path.write_text(text)
+    code = main([command, str(path), *args])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert code == 1, captured.out
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_deep_documents_are_exit_1(command, workdir, capsys):
+    doc_strategy, args_strategy = COMMANDS[command]
+
+    @settings(max_examples=15, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(deep_text(doc_strategy), args_strategy)
+    def check(text, args):
+        _refused(command, args, text, workdir / f"deep-{command}.json", capsys)
+
+    check()
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_huge_dimensions_over_tiny_bodies_are_exit_1(command, workdir, capsys):
+    doc_strategy, args_strategy = COMMANDS[command]
+    docs = doc_strategy.filter(lambda d: d.get("transitions", True)).flatmap(_oversized)
+
+    @settings(max_examples=30, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(docs, args_strategy)
+    def check(doc, args):
+        _refused(command, args, json.dumps(doc), workdir / f"huge-{command}.json", capsys)
 
     check()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from semiforge import (InfiniteSemigroup, Mat, MorphismTable, NotMember,
+from semiforge import (CapExceeded, InfiniteSemigroup, Mat, MorphismTable, NotMember,
                        group_closure, hnf, integerize, inverse, shortest_word_for)
 from semiforge.grouplat import NonInvertibleGenerator
 from semiforge.linalg import det
@@ -49,6 +49,24 @@ class TestGroupClosure:
         with pytest.raises(InfiniteSemigroup) as exc:
             group_closure(table_from(reflections))
         assert exc.value.witness == ("x",)
+
+    def test_cap_below_the_order_is_cap_exceeded(self):
+        # the signed permutations of order 48; (2*3)! = 720 is far above
+        table = table_from(signed_perm_generators(3))
+        with pytest.raises(CapExceeded):
+            group_closure(table, 47)
+        assert group_closure(table, 48).order == 48
+
+    def test_cap_past_the_bound_still_certifies_infinity(self):
+        # the reflections of test_cap_triggers_infinite: past (2*2)! = 24
+        # elements the group is infinite, whatever the cap
+        reflections = [mat([[F(1 - t * t, 1 + t * t), F(2 * t, 1 + t * t)],
+                            [F(2 * t, 1 + t * t), F(t * t - 1, 1 + t * t)]]) for t in range(1, 31)]
+        for cap in (24, 25, 10 ** 9):
+            with pytest.raises(InfiniteSemigroup):
+                group_closure(table_from(reflections), cap)
+        with pytest.raises(CapExceeded):
+            group_closure(table_from(reflections), 23)
 
     def test_named_generators(self):
         H = group_closure(table_from({"r": ROT90}))

@@ -32,6 +32,12 @@ class TestFractions:
             with pytest.raises(ParseError):
                 frac_from_str(bad)
 
+    def test_ascii_digits_only(self):
+        # no surrounding whitespace, and no other script's digits
+        for bad in (" 1", "1 ", "1\n", "-\uff11", "\u0661", "1/\uff12"):
+            with pytest.raises(ParseError):
+                frac_from_str(bad)
+
 
 class TestMatrixJson:
     def test_round_trip(self):

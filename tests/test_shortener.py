@@ -6,7 +6,7 @@ import pytest
 from semiforge import (CapExceeded, InfiniteSemigroup, Mat, MorphismTable,
                        NotACycle, Shortener, build_image_graph, cycle_rep,
                        group_closure, image, inverse, is_torsion, rank, shorten)
-from semiforge import shortener as shortener_module
+from semiforge import imagegraph as imagegraph_module, shortener as shortener_module
 from conftest import (PROJ_X, ROT90, all_words, mat, random_equal_rank_table,
                       random_invertible, signed_partial_perm, table_from)
 from oracles import OracleShortener, peel_blocks
@@ -341,7 +341,7 @@ def test_warm_shortener_matches_fresh_ones():
     hit cycle matrices cached by earlier ones, keyed by the cycle word over
     derived letters, which are matrices."""
     rng = random.Random(14)
-    words = 0
+    words = graphs = 0
     for table in _cycle_tables(rng, 4):
         warm = Shortener(table)
         for _ in range(8):
@@ -362,7 +362,15 @@ def test_warm_shortener_matches_fresh_ones():
             letters = tuple(dict.fromkeys(w))
             sub = MorphismTable(table.n, letters, {x: x for x in letters})
             assert m == cycle_rep(sub, image(sub.evaluate(w)), w)
-    assert words >= 50
+        # every graph built on the shared image and edge tests is the one
+        # its alphabet alone gives, in the same order
+        graphs += len(warm.graphs)
+        for G in warm.graphs.values():
+            fresh = build_image_graph(G.table)
+            assert G.vertices == fresh.vertices and G.scc_id == fresh.scc_id
+            assert [list(G.out[V].items()) for V in G.vertices] == \
+                [list(fresh.out[V].items()) for V in fresh.vertices]
+    assert words >= 50 and graphs >= 20
 
 
 def test_repeated_cycles_are_not_recomputed(monkeypatch):
@@ -385,3 +393,51 @@ def test_repeated_cycles_are_not_recomputed(monkeypatch):
     u = s.shorten(word)
     assert len(calls) == seen
     assert t.evaluate(u) == t.evaluate(word)
+
+
+def test_image_tests_are_shared(monkeypatch):
+    """A graph over letters whose images and edge tests are in the memo
+    makes no image or rank call, and equals the graph built without it."""
+    calls = []
+
+    def counting(real):
+        def wrapper(m):
+            calls.append(m)
+            return real(m)
+        return wrapper
+
+    for name in ("image", "rank"):
+        monkeypatch.setattr(imagegraph_module, name, counting(getattr(imagegraph_module, name)))
+    t = table_from({"a": ROT_PLANE, "b": REFLECT_PLANE, "p": mat([[1, 0, 0], [0, 0, 0], [0, 0, 1]])})
+    memo = {}
+    build_image_graph(t, memo)
+    assert calls
+    calls.clear()
+    # the same matrices under other letters, in another order
+    renamed = MorphismTable(3, ("q", "r", "s"), {"q": t.mapping["p"], "r": t.mapping["b"],
+                                                  "s": t.mapping["a"]})
+    G = build_image_graph(renamed, memo)
+    assert calls == []
+    fresh = build_image_graph(renamed)
+    assert (G.vertices, G.out, G.scc_id) == (fresh.vertices, fresh.out, fresh.scc_id)
+
+
+@pytest.mark.skipif(not __debug__, reason="the self-checks are asserts")
+@pytest.mark.parametrize("letter", [ROT_PLANE, ROT90], ids=["within_scc", "group"])
+def test_self_checks_catch_a_wrong_group_word(monkeypatch, letter):
+    """A group word with one generator too many has another value: the
+    self-check of the cycle route (rank 2 of 3) and of the full-rank
+    route both refuse it."""
+    real = Shortener._group_word
+    monkeypatch.setattr(Shortener, "_group_word",
+                        lambda self, gens, target: real(self, gens, target) + (gens[0][0],))
+    with pytest.raises(AssertionError):
+        Shortener(table_from({"a": letter})).shorten(("a",) * 5)
+
+
+def test_group_route_honours_the_cap():
+    # the dihedral group of order 8, with the finiteness gate skipped
+    t = table_from({"a": ROT90, "b": mat([[1, 0], [0, -1]])})
+    with pytest.raises(CapExceeded):
+        Shortener(t, assume_finite=True, cap=7).shorten(("a", "b"))
+    assert Shortener(t, assume_finite=True, cap=8).shorten(("a", "b")) == ("a", "b")
