@@ -23,18 +23,16 @@ from semiforge import (Mat, MorphismTable, Shortener, decide_finiteness, det,
 class SweepConfig:
     max_word_length: int = 8
     max_closure: int = 60
-    limit_tables: int | None = None
 
 
 def enumerate_tables(config: SweepConfig):
-    """The one-generator tables, then the two-generator ones, stopping
-    after `config.limit_tables` when that is set."""
+    """The one-generator tables, then the two-generator ones (no field of
+    `config` narrows them)."""
     mats = [Mat([(a, b), (c, d)]) for a, b, c, d in itertools.product((0, 1, -1), repeat=4)]
-    tables = itertools.chain(
+    return itertools.chain(
         (MorphismTable(2, ("a",), {"a": m}) for m in mats),
         (MorphismTable(2, ("a", "b"), {"a": m1, "b": m2})
          for m1, m2 in itertools.combinations(mats, 2)))
-    return itertools.islice(tables, config.limit_tables)
 
 
 def all_words(alphabet, max_len):
@@ -91,13 +89,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-word-length", type=int, default=8)
     parser.add_argument("--max-closure", type=int, default=60)
-    parser.add_argument("--limit-tables", type=int, default=None,
-                        help="stop after this many candidate tables")
     args = parser.parse_args()
-    config = SweepConfig(max_word_length=args.max_word_length,
-                         max_closure=args.max_closure,
-                         limit_tables=args.limit_tables)
-    stats = run_sweep(config)
+    stats = run_sweep(SweepConfig(args.max_word_length, args.max_closure))
     for k, v in stats.items():
         print(f"{k}: {v}")
     if stats["total_in"]:

@@ -12,10 +12,9 @@ from .linalg import (Mat, Subspace, det, image, inverse, kernel,
                      minimal_polynomial, rank, rref,
                      DimensionMismatch, NotInvertible)
 from .exterior import trivial_intersection
-from .semigroup import (DEFAULT_CAP, BoundReport, ClosureResult, FinitenessResult,
-                        MorphismTable, CapExceeded, InfiniteSemigroup, NotMember,
-                        decide_finiteness, is_torsion,
-                        length_bound, shortest_word_for, size_bound)
+from .semigroup import (DEFAULT_CAP, ClosureResult, FinitenessResult, MorphismTable,
+                        CapExceeded, InfiniteSemigroup, NotMember, decide_finiteness,
+                        is_torsion, length_bound, shortest_word_for, size_bound)
 from .grouplat import (FiniteGroupClosure, NonInvertibleGenerator, group_closure, hnf,
                        integerize)
 from .imagegraph import (ImageGraph, MixedRankGenerators, NotSameSCC,

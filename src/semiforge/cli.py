@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import re
+import reprlib
 import sys
 
 from . import __version__
@@ -28,9 +29,7 @@ from .wautomata import decide_wa_finiteness
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 1):
-        super().__init__(message)
-        self.code = code
+    pass
 
 
 def _load_json(path: str):
@@ -58,7 +57,7 @@ def _write(path: str, text: str):
 def _at_least(value, flag: str, minimum: int):
     """An optional integer option, refused below `minimum`."""
     if value is not None and value < minimum:
-        raise CliError(f"{flag} must be at least {minimum}, got {value}")
+        raise CliError(f"{flag} must be at least {minimum}, got {reprlib.repr(value)}")
     return value
 
 
@@ -73,7 +72,7 @@ def _cap(value) -> int:
     try:
         return _at_least(int(text), "SEMIFORGE_CAP", 1)
     except ValueError:
-        raise CliError(f"SEMIFORGE_CAP must be an integer, got {text!r}")
+        raise CliError(f"SEMIFORGE_CAP must be an integer, got {reprlib.repr(text)}")
 
 
 def _witness_listing(result, alphabet) -> list:
@@ -151,7 +150,7 @@ def _bound_fields(n: int, m: int | None = None) -> dict:
     is below the limit, so a built bound has at most about 100k bits."""
     K, E, P = 2 * n, n * (2 * n + 3), n + 1
     g = g_upper_bound(n) if n * (n.bit_length() - 1) < _LIMIT_BITS else None
-    L = length_bound(n).length_bound if E < _LIMIT_BITS else None
+    L = length_bound(n) if E < _LIMIT_BITS else None
     out = {"g_upper": _decimal(g, f"({K})!"),
            "length_bound": _decimal(L, f"2^({E})*({K}!)^({P})")}
     if m is not None:
@@ -215,13 +214,13 @@ def _parse_config(text: str, d: int) -> Configuration:
     state, _, rest = text.partition(":")
     parts = rest.split(",") if rest else []
     if not state or not all(re.fullmatch("-?[0-9]+", p) for p in parts):
-        raise CliError(f"bad configuration {text!r}; expected state:v1,...,vd")
+        raise CliError(f"bad configuration {reprlib.repr(text)}; expected state:v1,...,vd")
     if len(parts) != d:
-        raise CliError(f"configuration {text!r} needs {d} vector entries")
+        raise CliError(f"configuration {reprlib.repr(text)} needs {d} vector entries")
     try:
         return Configuration(state, tuple(int(p) for p in parts))
     except ValueError as exc:  # more digits than int() reads
-        raise CliError(f"bad configuration {text!r}: {exc}")
+        raise CliError(f"bad configuration {reprlib.repr(text)}: {exc}")
 
 
 def cmd_vass_reach(args) -> tuple[int, dict]:
@@ -318,7 +317,7 @@ def main(argv=None) -> int:
             print(text)
     except (CliError, ParseError, MixedRankGenerators, NonInvertibleGenerator) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return getattr(exc, "code", 1)
+        return 1
     return code
 
 

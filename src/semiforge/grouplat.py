@@ -6,6 +6,7 @@ finite rational matrix group into GL(n,Z) via its invariant lattice.
 from __future__ import annotations
 
 import math
+import reprlib
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Sequence
@@ -38,7 +39,8 @@ def group_closure(table: MorphismTable, cap: int = DEFAULT_CAP) -> FiniteGroupCl
     n, letters = table.n, _letters(table)
     for a, m in letters:
         if rank(m) != n:
-            raise NonInvertibleGenerator(f"generator {a!r} is singular")
+            raise NonInvertibleGenerator(f"generator {reprlib.repr(a)} is singular")
+    # not g_upper_bound(n), which refuses the n = 0 of the Shortener's rank-0 words
     bound = math.factorial(2 * n)
     witness, status, word = _bfs(letters, min(cap, bound), identity=Mat.identity(n))
     if status == "exceeded_cap" and cap < bound:

@@ -13,6 +13,7 @@ reverse topological order of the condensation.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from math import comb
 
@@ -41,7 +42,6 @@ class ImageGraph:
     out: dict[Subspace, dict[object, Subspace]]
     scc_id: dict[Subspace, int]
     num_sccs: int
-    condensation: frozenset[tuple[int, int]]
 
 
 def _tarjan(vertices, neighbors):
@@ -104,7 +104,7 @@ def build_image_graph(table: MorphismTable, memo: dict | None = None) -> ImageGr
     ranks = {a: V.dim for a, V in letter_image.items()}
     distinct = set(ranks.values())
     if len(distinct) != 1:
-        raise MixedRankGenerators(f"generator ranks {ranks!r} are not all equal")
+        raise MixedRankGenerators(f"generator ranks {reprlib.repr(ranks)} are not all equal")
     r = distinct.pop()
 
     vertices = tuple(dict.fromkeys(letter_image.values()))
@@ -116,18 +116,8 @@ def build_image_graph(table: MorphismTable, memo: dict | None = None) -> ImageGr
            for V in vertices}
 
     components = _tarjan(vertices, lambda v: out[v].values())
-    scc_id = {}
-    for cid, component in enumerate(components):
-        for v in component:
-            scc_id[v] = cid
-    condensation = frozenset(
-        (scc_id[v], scc_id[w])
-        for v in vertices
-        for w in out[v].values()
-        if scc_id[v] != scc_id[w]
-    )
-    return ImageGraph(table, r, vertices, letter_image, out, scc_id,
-                      len(components), condensation)
+    scc_id = {v: cid for cid, component in enumerate(components) for v in component}
+    return ImageGraph(table, r, vertices, letter_image, out, scc_id, len(components))
 
 
 def scc_shortest_path(G: ImageGraph, V1: Subspace, V2: Subspace) -> Word:

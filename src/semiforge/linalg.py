@@ -362,16 +362,15 @@ def inverse(A: Mat) -> Mat:
     if not A.is_square():
         raise DimensionMismatch("inverse needs a square matrix")
     n = A.rows
-    # A = N / den, so inverse(A) = den * inverse(N), read off rref([N | I])
+    # A = N / den, and the reduced elimination of [N | I] leaves
+    # d * [I | inverse(N)], so inverse(A) = den * (right half) / d
     rows = A.int_rows()
     for i, r in enumerate(rows):
         r.extend(int(i == j) for j in range(n))
-    res = rref(_mat(n, 2 * n, tuple(x for r in rows for x in r), 1))
-    if res.pivots[:n] != tuple(range(n)):
+    d, pivots, _ = _eliminate(rows, 2 * n, reduced=True)
+    if pivots[:n] != list(range(n)):
         raise NotInvertible("matrix is singular")
-    R = res.matrix.num
-    right = tuple(A.den * x for i in range(n) for x in R[2 * n * i + n:2 * n * (i + 1)])
-    return _mat(n, n, right, res.matrix.den)
+    return _mat(n, n, tuple(A.den * x for r in rows for x in r[n:]), d)
 
 
 def det(A: Mat) -> Fraction:

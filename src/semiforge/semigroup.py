@@ -78,9 +78,6 @@ class ClosureResult:
     def __len__(self) -> int:
         return len(self.witness)
 
-    def contains(self, A: Mat) -> bool:
-        return A in self.witness
-
     @property
     def identity_expressible(self) -> bool:
         return Mat.identity(self.n) in self.witness
@@ -310,18 +307,10 @@ def g_upper_bound(n: int) -> int:
     return math.factorial(2 * n)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    n: int
-    g_upper: int
-    length_bound: int
-
-
-def length_bound(n: int) -> BoundReport:
+def length_bound(n: int) -> int:
     """2^{n(2n+3)} * ((2n)!)^{n+1}: every element of a finite semigroup of
     n x n rational matrices is a generator product of at most this length."""
-    g = g_upper_bound(n)
-    return BoundReport(n, g, 2 ** (n * (2 * n + 3)) * g ** (n + 1))
+    return 2 ** (n * (2 * n + 3)) * g_upper_bound(n) ** (n + 1)
 
 
 def size_bound(n: int, m: int) -> int:
@@ -329,7 +318,7 @@ def size_bound(n: int, m: int) -> int:
     of nonempty words of length at most length_bound(n)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    L = length_bound(n).length_bound
+    L = length_bound(n)
     if m == 1:
         return L
     return (m ** (L + 1) - m) // (m - 1)

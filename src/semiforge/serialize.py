@@ -1,11 +1,13 @@
-"""JSON encodings for matrices, generator tables, weighted automata and
-VASS models. Rationals travel as strings ("p/q" or an integer string, q
-positive) so no consumer ever rounds them.
+"""JSON encodings. The four file formats (matrices, generator tables,
+weighted automata and VASS models) are read here; only matrices and
+words are written. Rationals travel as strings ("p/q" or an integer
+string, q positive) so no consumer ever rounds them.
 """
 
 from __future__ import annotations
 
 import re
+import reprlib
 from fractions import Fraction
 from math import gcd
 
@@ -23,17 +25,13 @@ class ParseError(ValueError):
 _FRACTION_RE = re.compile(r"(-?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
 
 
-def frac_to_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 _KINDS = {int: "integer", list: "list", dict: "object", str: "string"}
 
 
 def _typed(x, kind: type, what: str):
     """x if its type is exactly `kind` (so a bool is not an integer)."""
     if type(x) is not kind:
-        raise ParseError(f"{what} must be a JSON {_KINDS[kind]}, got {x!r}")
+        raise ParseError(f"{what} must be a JSON {_KINDS[kind]}, got {reprlib.repr(x)}")
     return x
 
 
@@ -43,7 +41,7 @@ def _names(x, what: str) -> tuple[str, ...]:
 
 def _letter(a: str, what: str) -> str:
     if a == "" or "," in a:  # "" prints as the empty word, "," splits word text
-        raise ParseError(f"{what} {a!r} is empty or contains ','")
+        raise ParseError(f"{what} {reprlib.repr(a)} is empty or contains ','")
     return a
 
 
@@ -51,19 +49,19 @@ def frac_from_str(s) -> Fraction:
     if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str):
-        raise ParseError(f"expected a rational string, got {s!r}")
+        raise ParseError(f"expected a rational string, got {reprlib.repr(s)}")
     m = _FRACTION_RE.fullmatch(s)
     if not m:
-        raise ParseError(f"malformed rational {s!r}")
+        raise ParseError(f"malformed rational {reprlib.repr(s)}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
-        raise ParseError(f"zero denominator in {s!r}")
+        raise ParseError(f"zero denominator in {reprlib.repr(s)}")
     return Fraction(num, den)
 
 
 def _entry_to_str(x: int, den: int) -> str:
-    """x/den in lowest terms, written as frac_to_str writes it."""
+    """x/den in lowest terms: "p/q", or "p" when q is 1."""
     g = gcd(x, den)
     return str(x // g) if g == den else f"{x // g}/{den // g}"
 
@@ -87,36 +85,24 @@ def matrix_from_json(obj, context: str = "matrix") -> Mat:
     return Mat(rows, cols=n)
 
 
-def generators_to_json(table: MorphismTable) -> dict:
-    return {"n": table.n,
-            "generators": {a: matrix_to_json(table.mapping[a]) for a in table.alphabet}}
-
-
 def generators_from_json(obj) -> MorphismTable:
     if not isinstance(obj, dict) or "generators" not in obj or "n" not in obj:
         raise ParseError("generators file needs 'n' and 'generators'")
     n = _typed(obj["n"], int, "'n'")
     if n < 1:
-        raise ParseError(f"'n' must be at least 1, got {n}")
+        raise ParseError(f"'n' must be at least 1, got {reprlib.repr(n)}")
     gens = obj["generators"]
     if not isinstance(gens, dict) or not gens:
         raise ParseError("'generators' must be a nonempty object")
     mapping = {}
     for name in gens:
         _letter(name, "generator name")
-        m = matrix_from_json(gens[name], context=f"generator {name!r}")
+        what = f"generator {reprlib.repr(name)}"
+        m = matrix_from_json(gens[name], context=what)
         if m.rows != n:
-            raise ParseError(f"generator {name!r} is not {n}x{n}")
+            raise ParseError(f"{what} is not {n}x{n}")
         mapping[name] = m
     return MorphismTable(n, tuple(sorted(mapping)), mapping)
-
-
-def automaton_to_json(A: WeightedAutomaton) -> dict:
-    return {"n": A.n,
-            "alphabet": list(A.alphabet),
-            "transitions": {a: matrix_to_json(A.table.mapping[a]) for a in A.alphabet},
-            "alpha": [frac_to_str(x) for x in A.alpha],
-            "eta": [frac_to_str(x) for x in A.eta]}
 
 
 def automaton_from_json(obj) -> WeightedAutomaton:
@@ -129,10 +115,11 @@ def automaton_from_json(obj) -> WeightedAutomaton:
     mapping = {}
     for a in alphabet:
         if a not in transitions:
-            raise ParseError(f"missing transition matrix for letter {a!r}")
-        m = matrix_from_json(transitions[a], context=f"transition {a!r}")
+            raise ParseError(f"missing transition matrix for letter {reprlib.repr(a)}")
+        what = f"transition {reprlib.repr(a)}"
+        m = matrix_from_json(transitions[a], context=what)
         if m.rows != n:
-            raise ParseError(f"transition {a!r} is not {n}x{n}")
+            raise ParseError(f"{what} is not {n}x{n}")
         mapping[a] = m
     alpha = tuple(frac_from_str(x) for x in _typed(obj["alpha"], list, "'alpha'"))
     eta = tuple(frac_from_str(x) for x in _typed(obj["eta"], list, "'eta'"))
@@ -142,15 +129,6 @@ def automaton_from_json(obj) -> WeightedAutomaton:
         return WeightedAutomaton(MorphismTable(n, alphabet, mapping), alpha, eta)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def vass_to_json(V: AffineVass) -> dict:
-    return {"d": V.d,
-            "states": list(V.states),
-            "transitions": [{"from": t.source,
-                             "A": t.matrix.int_rows(),
-                             "b": list(t.offset),
-                             "to": t.target} for t in V.transitions]}
 
 
 def vass_from_json(obj) -> AffineVass:
@@ -198,7 +176,7 @@ def parse_word(text: str, alphabet) -> tuple:
         parts = (text,)
     for p in parts:
         if p not in letters:
-            raise ParseError(f"letter {p!r} is not in the alphabet")
+            raise ParseError(f"letter {reprlib.repr(p)} is not in the alphabet")
     return parts
 
 

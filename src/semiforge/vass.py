@@ -4,6 +4,7 @@ property check, and bounded-budget reachability exploration.
 
 from __future__ import annotations
 
+import reprlib
 from collections import deque
 from dataclasses import dataclass
 from operator import mul
@@ -28,12 +29,13 @@ class AffineVass:
 
     def __post_init__(self):
         if self.d < 0:
-            raise ValueError(f"'d' must be at least 0, got {self.d}")
+            raise ValueError(f"'d' must be at least 0, got {reprlib.repr(self.d)}")
         self.states = tuple(self.states)
         known = set(self.states)
         for t in self.transitions:
             if t.source not in known or t.target not in known:
-                raise ValueError(f"transition touches unknown state: {t!r}")
+                ends = f"{reprlib.repr(t.source)} -> {reprlib.repr(t.target)}"
+                raise ValueError(f"transition {ends} touches an unknown state")
             if t.matrix.rows != self.d or t.matrix.cols != self.d:
                 raise ValueError("transition matrix has wrong dimension")
             if not t.matrix.is_integral():
@@ -41,7 +43,7 @@ class AffineVass:
             if len(t.offset) != self.d:
                 raise ValueError("offset vector has wrong dimension")
             if any(type(x) is not int for x in t.offset):
-                raise ValueError(f"offset entries must be integers: {t.offset!r}")
+                raise ValueError(f"offset entries must be integers: {reprlib.repr(t.offset)}")
 
 
 @dataclass(frozen=True)
@@ -63,9 +65,9 @@ def _by_source(V: AffineVass) -> dict[str, list]:
 def _checked(V: AffineVass, c: Configuration) -> tuple[str, tuple[int, ...]]:
     v = tuple(c.vector)
     if c.state not in V.states:
-        raise ValueError(f"configuration state {c.state!r} is not in the model")
+        raise ValueError(f"configuration state {reprlib.repr(c.state)} is not in the model")
     if len(v) != V.d or any(type(x) is not int for x in v):
-        raise ValueError(f"configuration vector must be {V.d} integers: {c.vector!r}")
+        raise ValueError(f"configuration vector must be {V.d} integers: {reprlib.repr(c.vector)}")
     return c.state, v
 
 

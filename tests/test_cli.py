@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import semiforge
 from semiforge import is_torsion, length_bound, size_bound
 from semiforge.semigroup import g_upper_bound
 from semiforge.cli import build_parser, main
@@ -444,6 +448,41 @@ class TestHostileInput:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {path}: nested too deeply\n"
 
+    # a 200000-entry list and a list nested 980 deep where 'n' belongs; from
+    # a fresh process, as from the shell, where nesting that deep still parses
+    @pytest.mark.parametrize("n", [json.dumps(list(range(200000))), "[" * 980 + "]" * 980],
+                             ids=["long", "deep"])
+    def test_parse_error_quotes_a_short_value(self, tmp_path, n):
+        path = tmp_path / "big.json"
+        path.write_text(f'{{"n": {n}, "generators": {{}}}}')
+        env = dict(os.environ, PYTHONPATH=str(Path(semiforge.__file__).parent.parent))
+        run = subprocess.run([sys.executable, "-m", "semiforge.cli", "finiteness", str(path)],
+                             env=env, capture_output=True)
+        assert run.returncode == 1 and run.stdout == b""
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(b"error: 'n' must be a JSON integer")
+        assert len(lines[0]) < 200 and b"Traceback" not in run.stderr
+
+    # a name of 100000 characters in each place an error line names it
+    @pytest.mark.parametrize("command, doc", [
+        ("finiteness", {"n": 1, "generators": {"x" * 100000: {"entries": [["?"]]}}}),
+        ("integerize", {"n": 1, "generators": {"x" * 100000: {"entries": [["0"]]}}}),
+        ("image-graph", {"n": 2, "generators": {
+            "x" * 100000: {"entries": [["1", "0"], ["0", "0"]]},
+            "b": {"entries": [["1", "0"], ["0", "1"]]}}}),
+        ("wa-finite", {"n": 1, "alphabet": ["x" * 100000], "transitions": {},
+                       "alpha": ["1"], "eta": ["1"]}),
+        ("vass-fmp", {"d": 0, "states": ["q"],
+                      "transitions": [{"from": "x" * 100000, "A": [], "b": [], "to": "q"}]}),
+    ])
+    def test_error_quotes_a_short_name(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and len(captured.err) < 200
+
     # spaces, a newline, a fullwidth and an Arabic-Indic digit one
     @pytest.mark.parametrize("entry", [" 1", "1 ", "1\n", "\uff11", "\u0661", "1/\uff12"])
     def test_entries_are_ascii_digits(self, capsys, tmp_path, entry):
@@ -479,7 +518,7 @@ class TestLengthBoundText:
     def test_exact_while_at_most_4300_digits(self, capsys):
         code, out = run(capsys, "bound", "--n", "34")
         assert code == 0
-        assert out["length_bound"] == str(length_bound(34).length_bound)
+        assert out["length_bound"] == str(length_bound(34))
 
     def test_n35_is_the_closed_form(self, capsys):
         code, out = run(capsys, "bound", "--n", "35", "--m", "1")

@@ -18,7 +18,7 @@ class TestGroupClosure:
     def test_cyclic_rotation_group(self):
         H = group_closure(table_from([ROT90]))
         assert H.order == 4
-        assert H.contains(Mat.identity(2))
+        assert Mat.identity(2) in H.witness
         assert H.witness[Mat.identity(2)] == ()
 
     def test_signed_permutation_groups(self):
@@ -27,6 +27,10 @@ class TestGroupClosure:
 
     def test_empty_table_is_the_trivial_group(self):
         assert group_closure(MorphismTable(2, (), {})).order == 1
+
+    def test_0x0_group_is_trivial(self):
+        # the Shortener closes 0 x 0 groups on rank-0 words
+        assert group_closure(MorphismTable(0, ("a",), {"a": Mat.identity(0)})).order == 1
 
     def test_rejects_singular_generator(self):
         with pytest.raises(NonInvertibleGenerator):

@@ -11,6 +11,12 @@ from conftest import (PROJ_X, PROJ_Y, ROT90, all_words, bfs_distance, mat, rando
 from oracles import kernel_edges, prefix_scan_decompose
 
 
+def cross_edges(G):
+    """The edges (v, a, w) of G whose ends lie in different SCCs."""
+    return {(v, a, w) for v in G.vertices for a, w in G.out[v].items()
+            if G.scc_id[v] != G.scc_id[w]}
+
+
 def two_projection_table():
     return table_from({"a": PROJ_X, "b": PROJ_Y})
 
@@ -30,7 +36,7 @@ class TestBuild:
             V = G.letter_image[a]
             assert G.out[V] == {a: V}
         assert G.num_sccs == 2
-        assert G.condensation == frozenset()
+        assert cross_edges(G) == set()
 
     def test_full_rank_single_vertex(self):
         G = build_image_graph(table_from({"a": ROT90}))
@@ -56,9 +62,9 @@ class TestBuild:
         a = PROJ_X
         c = mat([[0, 0], [1, 1]])
         G = build_image_graph(table_from({"a": a, "c": c}))
-        ia = G.scc_id[G.letter_image["a"]]
-        ic = G.scc_id[G.letter_image["c"]]
-        assert {(ic, ia)} == set(G.condensation)
+        va, vc = G.letter_image["a"], G.letter_image["c"]
+        ia, ic = G.scc_id[va], G.scc_id[vc]
+        assert cross_edges(G) == {(vc, "a", va)}
         assert ia < ic
 
 

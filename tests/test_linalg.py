@@ -128,6 +128,10 @@ class TestInverseDet:
         with pytest.raises(NotInvertible):
             inverse(mat([[1, 1], [1, 1]]))
 
+    def test_inverse_of_the_0x0_matrix(self):
+        # eliminating the empty [N | I] finds no pivot, and none is needed
+        assert inverse(Mat.identity(0)) == Mat.identity(0)
+
     @given(square_matrices())
     def test_det_zero_iff_singular(self, m):
         assert (det(m) == 0) == (rank(m) < m.rows)
