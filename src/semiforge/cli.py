@@ -14,6 +14,7 @@ import os
 import re
 import reprlib
 import sys
+from itertools import accumulate
 
 from . import __version__
 from .grouplat import NonInvertibleGenerator, group_closure, integerize
@@ -32,18 +33,31 @@ class CliError(Exception):
     pass
 
 
+# Deeper nesting of arrays and objects is refused, counted on the text (a
+# string matches '') if it has more openers, not left to the caller's stack.
+_MAX_NESTING = 1000
+_BRACKETS = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|([][{}])', re.DOTALL)
+
+
 def _load_json(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            text = fh.read()
+        if text.count("[") + text.count("{") > _MAX_NESTING and max(accumulate(
+                (c in "[{") - (c in "]}") for c in _BRACKETS.findall(text))) > _MAX_NESTING:
+            raise CliError(f"{path}: nested too deeply")
+        limit = sys.getrecursionlimit()  # json's decoder recurses once per level
+        sys.setrecursionlimit(limit + _MAX_NESTING)
+        try:
+            return json.loads(text)
+        finally:
+            sys.setrecursionlimit(limit)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except ValueError as exc:  # not UTF-8, or an integer past the digit limit
         raise CliError(f"{path}: {exc}")
-    except RecursionError:
-        raise CliError(f"{path}: nested too deeply")
 
 
 def _write(path: str, text: str):
@@ -259,19 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(handler=handler)
         p.add_argument("--output", help="write the JSON result to this file")
+        if name != "bound":
+            p.add_argument("input")
         return p
 
     p = add("finiteness", cmd_finiteness, help="decide semigroup finiteness")
-    p.add_argument("input")
     p.add_argument("--cap", type=int)
     p.add_argument("--witnesses", action="store_true")
 
     p = add("closure", cmd_finiteness, help="enumerate the semigroup with witness words")
-    p.add_argument("input")
     p.add_argument("--cap", type=int)
 
     p = add("shorten", cmd_shorten, help="rewrite a word as a short equal-value product")
-    p.add_argument("input")
     p.add_argument("--word", required=True)
     p.add_argument("--cap", type=int)
     p.add_argument("--assume-finite", action="store_true")
@@ -281,23 +294,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
 
     p = add("integerize", cmd_integerize, help="conjugate a finite group into GL(n,Z)")
-    p.add_argument("input")
     p.add_argument("--cap", type=int)
 
     p = add("image-graph", cmd_image_graph, help="build the rank-r image graph")
-    p.add_argument("input")
     p.add_argument("--dot", help="also write a GraphViz file")
 
     p = add("wa-finite", cmd_wa_finite, help="decide weighted-automaton finiteness")
-    p.add_argument("input")
     p.add_argument("--cap", type=int)
 
     p = add("vass-fmp", cmd_vass_fmp, help="check the finite monoid property")
-    p.add_argument("input")
     p.add_argument("--cap", type=int)
 
     p = add("vass-reach", cmd_vass_reach, help="bounded reachability exploration")
-    p.add_argument("input")
     p.add_argument("--from", dest="source", required=True, metavar="STATE:V1,..,VD")
     p.add_argument("--to", dest="target", required=True, metavar="STATE:V1,..,VD")
     p.add_argument("--budget", type=int, required=True)

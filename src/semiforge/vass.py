@@ -7,7 +7,7 @@ from __future__ import annotations
 import reprlib
 from collections import deque
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 
 from .linalg import Mat
 from .semigroup import DEFAULT_CAP, FinitenessResult, MorphismTable, decide_finiteness
@@ -54,11 +54,11 @@ class Configuration:
 
 def _by_source(V: AffineVass) -> dict[str, list]:
     """Transitions by source state, in index order, as (index, matrix
-    rows, offset, target) with the rows sliced from the numerators."""
-    d, out = V.d, {s: [] for s in V.states}
+    rows, offset, target); the rows are None for a translation (A = I)."""
+    out = {s: [] for s in V.states}
     for i, t in enumerate(V.transitions):
-        a = t.matrix.num
-        out[t.source].append((i, [a[r * d:(r + 1) * d] for r in range(d)], t.offset, t.target))
+        rows = None if t.matrix == Mat.identity(V.d) else t.matrix.int_rows()
+        out[t.source].append((i, rows, t.offset, t.target))
     return out
 
 
@@ -71,27 +71,23 @@ def _checked(V: AffineVass, c: Configuration) -> tuple[str, tuple[int, ...]]:
     return c.state, v
 
 
-def _successors(entries: list, v: tuple[int, ...]):
+def _apply(rows, b: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     # column-vector update: w = A*v + b, on the numerators (A is integral)
-    for i, rows, b, target in entries:
-        yield i, target, tuple([sum(map(mul, row, v)) + c for row, c in zip(rows, b)])
+    if rows is None:
+        return tuple(map(add, v, b))
+    return tuple([sum(map(mul, row, v), c) for row, c in zip(rows, b)])
 
 
 def step(V: AffineVass, c: Configuration) -> list[Configuration]:
     """The successors of c, in transition-index order."""
     state, v = _checked(V, c)
-    return [Configuration(target, w) for _, target, w in _successors(_by_source(V)[state], v)]
+    return [Configuration(t, _apply(rows, b, v)) for _, rows, b, t in _by_source(V)[state]]
 
 
 def transition_matrices(V: AffineVass) -> MorphismTable:
     """The update matrices of V as a morphism table (deduplicated)."""
-    mapping: dict[str, Mat] = {}
-    seen: dict[Mat, str] = {}
-    for t in V.transitions:
-        if t.matrix not in seen:
-            name = f"t{len(seen)}"
-            seen[t.matrix] = name
-            mapping[name] = t.matrix
+    distinct = dict.fromkeys(t.matrix for t in V.transitions)
+    mapping = {f"t{k}": m for k, m in enumerate(distinct)}
     return MorphismTable(V.d, tuple(mapping), mapping)
 
 
@@ -122,22 +118,26 @@ def reach_bounded(V: AffineVass, source: Configuration, target: Configuration,
     if start == goal:
         return ReachResult("reached", ())
     index = _by_source(V)
+    # state -> {vector: (its predecessor, transition index)}
+    parents = {state: {} for state in V.states}
+    parents[start[0]][start[1]] = None
+    goal_parents, goal_vector = parents[goal[0]], goal[1]
     queue = deque([start])
-    parent = {start: None}  # configuration -> (its predecessor, transition index)
     spent = 0
     while queue and spent < budget:
         state, v = c = queue.popleft()
         spent += 1
-        for i, nxt_state, w in _successors(index[state], v):
-            nxt = (nxt_state, w)
-            if nxt in parent:
+        for i, rows, b, nxt_state in index[state]:
+            w = _apply(rows, b, v)
+            seen = parents[nxt_state]
+            if w in seen:
                 continue
-            parent[nxt] = (c, i)
-            if nxt == goal:
-                path = []
-                while parent[nxt] is not None:
-                    nxt, i = parent[nxt]
+            seen[w] = (c, i)
+            if seen is goal_parents and w == goal_vector:
+                path = [i]
+                while parents[c[0]][c[1]] is not None:
+                    c, i = parents[c[0]][c[1]]
                     path.append(i)
                 return ReachResult("reached", tuple(reversed(path)))
-            queue.append(nxt)
+            queue.append((nxt_state, w))
     return ReachResult("not_within_budget")

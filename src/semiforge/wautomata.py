@@ -1,12 +1,19 @@
 """Weighted automata over Q: evaluation, forward/backward state-space
 restriction (the minimal-automaton construction), and the finiteness
 decision through the transition monoid of the minimized automaton.
+
+`evaluate` and `forward_space` share one kernel on ints: a row of
+numerators times a letter's numerator columns, sliced once per call.
+`evaluate` keeps the row's denominator and takes a gcd only after a
+letter whose denominator is not 1; `forward_space` needs only spans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from .linalg import Mat, Subspace, _frac, image, stack
 from .semigroup import DEFAULT_CAP, FinitenessResult, MorphismTable, decide_finiteness
@@ -39,31 +46,41 @@ class WeightedAutomaton:
         return self.table.alphabet
 
 
+def _times(row, columns: list) -> list[int]:
+    return [sum(map(mul, row, col)) for col in columns]
+
+
 def evaluate(A: WeightedAutomaton, word) -> Fraction:
-    mapping = A.table.mapping
-    v = Mat.row_vector(A.alpha)
+    mapping, letters = A.table.mapping, {}
+    start, eta = Mat.row_vector(A.alpha), Mat.row_vector(A.eta)
+    row, den = start.num, start.den
     for a in word:
-        if a not in mapping:
-            raise UnknownLetter(a)
-        v = v * mapping[a]
-    value = v * Mat.row_vector(A.eta).transpose()
-    return Fraction(value.num[0], value.den)
+        if a not in letters:
+            if a not in mapping:
+                raise UnknownLetter(a)
+            letters[a] = mapping[a].transpose().int_rows(), mapping[a].den
+        columns, d = letters[a]
+        row = _times(row, columns)
+        if d != 1:
+            g = gcd(den * d, *row)
+            row, den = [x // g for x in row], den * d // g
+    return Fraction(sum(map(mul, row, eta.num)), den * eta.den)
 
 
 def forward_space(A: WeightedAutomaton) -> Subspace:
     """span{alpha * M(w) : w over the alphabet}. Every insertion raises the
     dimension, so the basis is rebuilt (one rref) at most n times."""
-    mats = [A.table.mapping[a] for a in A.alphabet]
+    letters = [A.table.mapping[a].transpose().int_rows() for a in A.alphabet]
     start = Mat.row_vector(A.alpha)
     space = image(start)
-    frontier = [start] if space.dim else []
+    frontier = [start.num] if space.dim else []
     while frontier:
         fresh = []
-        for v in frontier:
-            for m in mats:
-                u = v * m
-                if not space.contains(u.num):
-                    space = image(stack(space.basis, u))
+        for row in frontier:
+            for columns in letters:
+                u = _times(row, columns)
+                if not space.contains(u):
+                    space = image(stack(space.basis, Mat.row_vector(u)))
                     fresh.append(u)
         frontier = fresh
     return space

@@ -12,6 +12,9 @@
 - `oracle_reach_bounded`: the VASS breadth-first search as it was before
   it indexed the transitions by source state. Every dequeue scans all
   transitions and builds a `Configuration` per successor.
+- `oracle_forward_space`: the forward space of a weighted automaton as
+  it was before it moved to integer rows. It multiplies 1 x n `Mat` rows
+  by the letter matrices.
 - `oracle_integerize`: the integerization as it was before it became a
   fixpoint over the generators. It takes one HNF per group element and
   conjugates every element to check it.
@@ -35,7 +38,7 @@ from semiforge.exterior import AmbientMismatch
 from semiforge import semigroup
 from semiforge.grouplat import _hnf_rows
 from semiforge.imagegraph import RankDropped
-from semiforge.linalg import _frac
+from semiforge.linalg import _frac, image, stack
 from semiforge.shortener import _spell
 
 
@@ -196,6 +199,25 @@ def oracle_reach_bounded(V, source, target, budget):
             visited.add(nxt)
             queue.append((nxt, path + (i,)))
     return ReachResult("not_within_budget")
+
+
+def oracle_forward_space(A):
+    """span{alpha * M(w) : w over the alphabet}, one `Mat` row product at
+    a time."""
+    mats = [A.table.mapping[a] for a in A.alphabet]
+    start = Mat.row_vector(A.alpha)
+    space = image(start)
+    frontier = [start] if space.dim else []
+    while frontier:
+        fresh = []
+        for v in frontier:
+            for m in mats:
+                u = v * m
+                if not space.contains(u.num):
+                    space = image(stack(space.basis, u))
+                    fresh.append(u)
+        frontier = fresh
+    return space
 
 
 def oracle_integerize(G):

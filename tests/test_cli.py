@@ -448,8 +448,35 @@ class TestHostileInput:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {path}: nested too deeply\n"
 
-    # a 200000-entry list and a list nested 980 deep where 'n' belongs; from
-    # a fresh process, as from the shell, where nesting that deep still parses
+    # the nesting limit counts the outer object too: 'n' may nest 999 deep;
+    # the answer is the same from the top and from 50 frames further down
+    @pytest.mark.parametrize("depth, error", [(999, "'n' must be a JSON integer"),
+                                              (1000, "nested too deeply")],
+                             ids=["at-limit", "past-limit"])
+    def test_nesting_verdict_ignores_the_callers_stack(self, capsys, tmp_path, depth, error):
+        path = tmp_path / "deep.json"
+        path.write_text(f'{{"n": {"[" * depth + "]" * depth}, "generators": {{}}}}')
+
+        def deeper(frames):
+            return deeper(frames - 1) if frames else main(["finiteness", str(path)])
+
+        top = main(["finiteness", str(path)]), capsys.readouterr()
+        assert (deeper(50), capsys.readouterr()) == top
+        code, captured = top
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and error in captured.err
+        assert len(captured.err) < 200
+
+    def test_brackets_inside_strings_do_not_nest(self, capsys, tmp_path):
+        # an escaped quote first: the brackets after it are still in the name
+        name = '\\"' + "[{" * 1000
+        path = tmp_path / "brackets.json"
+        path.write_text(json.dumps({"n": 1, "generators": {name: {"entries": [["-1"]]}}}))
+        assert main(["finiteness", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"status": "finite", "count": 2}
+
+    # a 200000-entry list and a list nested 980 deep where 'n' belongs, from
+    # a fresh process, as from the shell
     @pytest.mark.parametrize("n", [json.dumps(list(range(200000))), "[" * 980 + "]" * 980],
                              ids=["long", "deep"])
     def test_parse_error_quotes_a_short_value(self, tmp_path, n):

@@ -200,8 +200,12 @@ def oracle_apply(t, v):
 def transitions_and_vectors(draw):
     d = draw(st.integers(0, 3))
     entries = st.lists(st.integers(-5, 5), min_size=d, max_size=d)
-    t = Transition("q", Mat(draw(st.lists(entries, min_size=d, max_size=d)), cols=d),
-                   tuple(draw(entries)), "q")
+    # one case in three is a translation, which `step` applies as v + b
+    if draw(st.integers(0, 2)) == 0:
+        A = Mat.identity(d)
+    else:
+        A = Mat(draw(st.lists(entries, min_size=d, max_size=d)), cols=d)
+    t = Transition("q", A, tuple(draw(entries)), "q")
     return t, tuple(draw(st.lists(st.integers(-20, 20), min_size=d, max_size=d)))
 
 

@@ -1,13 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from semiforge import (Mat, UnknownLetter, WeightedAutomaton, decide_wa_finiteness,
-                       evaluate, forward_space, minimize)
+from semiforge import (Mat, MorphismTable, UnknownLetter, WeightedAutomaton,
+                       decide_wa_finiteness, evaluate, forward_space, inverse, minimize)
 from semiforge.wautomata import reverse
-from conftest import ROT90, all_words, mat, random_rational, table_from
+from conftest import (ROT90, all_words, mat, random_invertible, random_rational,
+                      signed_partial_perm, table_from)
+from oracles import oracle_forward_space
 
 F = Fraction
 
@@ -114,11 +117,18 @@ class TestFiniteness:
 # `oracle_evaluate` is the Fraction loop `evaluate` ran before it moved to
 # integer matrix products.
 
-def oracle_evaluate(A, word):
+def oracle_rows(A, word):
+    """alpha * M(u) for each prefix u of the word, shortest first."""
     v = list(A.alpha)
+    yield v
     for a in word:
         m = A.table.mapping[a].data
         v = [sum(v[i] * m[i][j] for i in range(A.n)) for j in range(A.n)]
+        yield v
+
+
+def oracle_evaluate(A, word):
+    *_, v = oracle_rows(A, word)
     return sum(x * y for x, y in zip(v, A.eta)) if A.n else Fraction(0)
 
 
@@ -151,3 +161,40 @@ class TestAgainstFractionLoop:
         assert B.n <= A.n
         for w in ((),) + tuple(some_words):
             assert evaluate(B, w) == oracle_evaluate(A, w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(automata(max_n=4))
+    @example(automaton({"a": ROT90, "b": PROJ}, (0, 0), (1, 1)))  # zero alpha
+    @example(WeightedAutomaton(MorphismTable(0, ("a",), {"a": Mat((), cols=0)}), (), ()))
+    def test_forward_space(self, A):
+        assert forward_space(A) == oracle_forward_space(A)
+        assert forward_space(reverse(A)) == oracle_forward_space(reverse(A))
+
+
+def conjugated_signed_perms(rng, n):
+    """Letters a and b: signed permutations in a random rational basis, so
+    they generate a finite group but no letter is integral."""
+    C = random_invertible(rng, n)
+    return {a: inverse(C) * signed_partial_perm(rng, n, n) * C for a in "ab"}
+
+
+def test_evaluate_long_words_over_rational_letters():
+    # 300 rational letters: the row's denominator grows and falls again,
+    # so every step runs the gcd reduction and some steps cancel
+    rng = random.Random(300)
+    for _ in range(6):
+        n = rng.choice((3, 4, 5))
+        mats = conjugated_signed_perms(rng, n)
+        assert all(m.den != 1 for m in mats.values())
+        A = automaton(mats, (1,) + tuple(random_rational(rng) for _ in range(n - 1)),
+                      tuple(random_rational(rng) for _ in range(n)))
+        word = tuple(rng.choice("ab") for _ in range(300))
+        dens = [math.lcm(*(x.denominator for x in v)) for v in oracle_rows(A, word)]
+        assert max(dens) > dens[0]
+        assert any(later < earlier for earlier, later in zip(dens, dens[1:]))
+        for k in range(0, 301, 30):
+            assert evaluate(A, word[:k]) == oracle_evaluate(A, word[:k])
+        assert evaluate(A, ()) == sum(x * y for x, y in zip(A.alpha, A.eta))
+        with pytest.raises(UnknownLetter) as caught:
+            evaluate(A, word[:150] + ("z",) + word[150:])
+        assert caught.value.args == ("z",)
