@@ -41,7 +41,7 @@ _BRACKETS = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|([][{}])', re.DOTALL)
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
         if text.count("[") + text.count("{") > _MAX_NESTING and max(accumulate(
                 (c in "[{") - (c in "]}") for c in _BRACKETS.findall(text))) > _MAX_NESTING:
@@ -62,7 +62,7 @@ def _load_json(path: str):
 
 def _write(path: str, text: str):
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}")

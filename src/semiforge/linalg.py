@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -66,8 +67,8 @@ class Mat:
     `num` holds the row-major integer numerators and `den` their common
     positive denominator, with gcd(den, *num) == 1 (so den == 1 exactly
     for integral matrices). `data` is the same matrix as rows of
-    Fractions, rebuilt on each read: it is for output and tests, and
-    nothing in the package computes on it.
+    Fractions, rebuilt on each read: it is for output, tests and a minimized
+    automaton's Fraction vectors; nothing in the package computes on it.
 
     Zero-row and zero-column matrices are allowed; pass `cols` explicitly
     when there are no rows.
@@ -340,22 +341,22 @@ def image(A: Mat) -> Subspace:
     return Subspace(A.cols, basis, res.pivots)
 
 
+def _with_identity(A: Mat) -> list[list[int]]:
+    """The integer rows of [N | I] for A = N / den. Row operations keep each
+    row of the result equal to (x*N | x) for the combination x it records."""
+    rows = A.int_rows()
+    for i, r in enumerate(rows):
+        r.extend(int(i == j) for j in range(A.rows))
+    return rows
+
+
 def kernel(A: Mat) -> Subspace:
-    """Left kernel {x : x*A = 0}; a subspace of Q^rows."""
-    n = A.rows
-    res = rref(A.transpose())
-    R, d = res.matrix.num, res.matrix.den
-    # each free column f of rref(A^T) = R / d gives the kernel vector with d
-    # at f and -R[i][f] at pivot p_i (the usual basis vector, scaled by d)
-    free = sorted(set(range(n)) - set(res.pivots))
-    rows = []
-    for f in free:
-        v = [0] * n
-        v[f] = d
-        for i, p in enumerate(res.pivots):
-            v[p] = -R[i * n + f]
-        rows.extend(v)
-    return image(_mat(len(free), n, tuple(rows), 1))
+    """Left kernel {x : x*A = 0}; a subspace of Q^rows. Eliminating [N | I]
+    on the columns of N zeroes the N parts of the rows below the pivots;
+    their I parts are independent and span the kernel."""
+    rows = _with_identity(A)
+    r = len(_eliminate(rows, A.cols, reduced=False)[1])
+    return image(_mat(A.rows - r, A.rows, tuple(x for row in rows[r:] for x in row[A.cols:]), 1))
 
 
 def inverse(A: Mat) -> Mat:
@@ -364,9 +365,7 @@ def inverse(A: Mat) -> Mat:
     n = A.rows
     # A = N / den, and the reduced elimination of [N | I] leaves
     # d * [I | inverse(N)], so inverse(A) = den * (right half) / d
-    rows = A.int_rows()
-    for i, r in enumerate(rows):
-        r.extend(int(i == j) for j in range(n))
+    rows = _with_identity(A)
     d, pivots, _ = _eliminate(rows, 2 * n, reduced=True)
     if pivots[:n] != list(range(n)):
         raise NotInvertible("matrix is singular")
@@ -389,35 +388,18 @@ def minimal_polynomial(A: Mat) -> tuple:
     """Monic minimal polynomial of A, constant term first.
 
     With A = N / den for the integer matrix N, the flattened powers N^0,
-    N^1, ... are reduced against each other, fraction-free, while each
-    reduced row keeps its combination of the powers. The first power that
-    reduces to zero gives the dependence sum c_j N^j = 0, that is
-    sum c_j den^j A^j = 0.
-
-    The 0x0 matrix gets the unit polynomial 1.
+    N^1, ... are stacked as rows until the stack has a nonzero left kernel
+    vector c: then sum c_j N^j = 0, that is sum c_j den^j A^j = 0. The 0x0
+    matrix gets the unit polynomial 1.
     """
     if not A.is_square():
         raise DimensionMismatch("minimal polynomial needs a square matrix")
     n = A.rows
-    if n == 0:
-        return (Fraction(1),)
-    N = _mat(n, n, A.num, 1)
-    reduced = []  # (pivot, row, combination) for the independent powers so far
-    power = Mat.identity(n)
-    for k in range(n + 1):
-        row = list(power.num)
-        comb = [int(j == k) for j in range(n + 1)]
-        for p, prow, pcomb in reduced:
-            f = row[p]
-            if f:
-                g = prow[p]
-                row = [g * x - f * y for x, y in zip(row, prow)]
-                comb = [g * x - f * y for x, y in zip(comb, pcomb)]
-        if not any(row):
-            lead = comb[k] * A.den ** k
-            return tuple(Fraction(c * A.den ** j, lead) for j, c in enumerate(comb[:k + 1]))
-        g = gcd(*row, *comb)
-        reduced.append((next(j for j, x in enumerate(row) if x),
-                        [x // g for x in row], [x // g for x in comb]))
+    N, power, powers = _mat(n, n, A.num, 1), Mat.identity(n), ()
+    for k in count():
+        powers += power.num
+        K = kernel(_mat(k + 1, n * n, powers, 1))
+        if K.dim:
+            c = K.basis.num
+            return tuple(Fraction(x * A.den ** j, c[k] * A.den ** k) for j, x in enumerate(c))
         power = power * N
-    raise AssertionError("minimal polynomial of degree <= n must exist")

@@ -33,14 +33,6 @@ def add(p: Poly, q: Poly) -> Poly:
     return trim(out)
 
 
-def neg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
-
-
 def mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ZERO

@@ -24,9 +24,10 @@ class NotACycle(ValueError):
     pass
 
 
-def _spell(word: Word, labels: dict) -> Word:
-    """`word` with each label replaced by the word it stands for."""
-    return tuple(x for label in word for x in labels[label])
+def _spell(word: Word, spelled: dict[Mat, Word]) -> Word:
+    """`word`, whose letters are matrices, with each letter replaced by the
+    word it stands for."""
+    return tuple(x for m in word for x in spelled[m])
 
 
 def cycle_rep(table: MorphismTable, base: Subspace, word) -> Mat:
@@ -52,8 +53,8 @@ class Shortener:
 
     Image graphs, the image and edge tests they are built from, group
     closures, cycle matrices, their inverses and SCC paths are cached
-    across calls. Every cache is keyed by values: a derived letter of the
-    rank recursion is its own matrix."""
+    across calls. Every cache is keyed by values: each invented letter (a
+    block product of the rank recursion, a cycle matrix) is its own matrix."""
 
     def __init__(self, table: MorphismTable, assume_finite: bool = False,
                  cap: int = DEFAULT_CAP):
@@ -80,14 +81,18 @@ class Shortener:
             self._memo[word] = self._shorten(word)
         return self._memo[word]
 
-    def _group_word(self, gens: tuple, target: Mat) -> Word:
-        """Shortest word over the (label, invertible matrix) pairs `gens`
-        for `target`, at most |group| - 1 letters."""
+    def _group_word(self, spelled: dict[Mat, Word], target: Mat) -> Word:
+        """Shortest word for `target` over the invertible matrices in
+        `spelled`, at most |group| - 1 letters, spelled out in the words
+        they stand for; so is an InfiniteSemigroup witness."""
+        gens = tuple(spelled)
         if gens not in self.groups:
-            labels = tuple(a for a, _ in gens)
-            self.groups[gens] = group_closure(MorphismTable(target.rows, labels, dict(gens)),
-                                              self.cap)
-        return shortest_word_for(self.groups[gens], target)
+            try:
+                self.groups[gens] = group_closure(
+                    MorphismTable(target.rows, gens, {m: m for m in gens}), self.cap)
+            except InfiniteSemigroup as exc:
+                raise InfiniteSemigroup(_spell(exc.witness, spelled)) from None
+        return _spell(shortest_word_for(self.groups[gens], target), spelled)
 
     def _within_scc(self, G: ImageGraph, a: object, word: Word, value: Mat | None) -> Word:
         """Rewrite a path that stays in the SCC of im(a): same value after
@@ -104,25 +109,21 @@ class Shortener:
                 self.paths[key] = scc_shortest_path(G, G.letter_image[x], G.letter_image[y])
             return self.paths[key]
 
-        # distinct cycle matrices, labelled c0, c1, ... in order of appearance
-        cycles: dict[Mat, tuple[str, Word]] = {}
+        # each distinct cycle matrix M', in order of appearance: its first word
+        cycles: dict[Mat, Word] = {}
 
         def cycle(w: Word) -> Mat:
             # a word over matrices fixes its value, whose image is the base
             m = self.mprimes.get(w)
             if m is None:
                 m = self.mprimes[w] = cycle_rep(table, base, w)
-            if m not in cycles:
-                cycles[m] = (f"c{len(cycles)}", w)
+            cycles.setdefault(m, w)
             return m
 
         target = Mat.identity(base.dim)
-        previous = None
+        previous = a  # sp(a, a) is empty
         for b in word:
-            if previous is None:
-                around = (b,) + sp(b, a)
-            else:
-                around = sp(a, previous) + (b,) + sp(b, a)
+            around = sp(a, previous) + (b,) + sp(b, a)
             back_and_forth = sp(a, b) + sp(b, a)
             target = target * cycle(around)
             if back_and_forth:
@@ -133,14 +134,8 @@ class Shortener:
                     self.inverses[m] = inverse(m)
                 target = target * self.inverses[m]
             previous = b
-        tail = sp(a, word[-1])
-        gens = tuple(sorted((label, m) for m, (label, _) in cycles.items()))
-        label_word = dict(cycles.values())
-        try:
-            u = _spell(self._group_word(gens, target), label_word) + tail
-        except InfiniteSemigroup as exc:
-            # a non-torsion M' makes M(w) non-torsion: P*M(w)^k = M'^k*P
-            raise InfiniteSemigroup(_spell(exc.witness, label_word)) from None
+        # a witness over the M' spells a non-torsion word: P*M(w)^k = M'^k*P
+        u = self._group_word(cycles, target) + sp(a, previous)
         assert table.evaluate((a,) + u) == value
         return word if len(word) < len(u) else u
 
@@ -167,10 +162,13 @@ class Shortener:
         r = rank(value)
         n = table.n
         if r == n:
-            # every letter of the word is invertible; use the group route
+            # every letter is invertible: the group route, each matrix spelled by its first letter
             used = set(word)
-            letters = tuple(a for a in table.alphabet if a in used)
-            u = self._group_word(tuple((a, table.mapping[a]) for a in letters), value)
+            spelled: dict[Mat, Word] = {}
+            for a in table.alphabet:
+                if a in used:
+                    spelled.setdefault(table.mapping[a], (a,))
+            u = self._group_word(spelled, value)
             assert table.evaluate(u) == value
             return word if len(word) < len(u) else u
 

@@ -92,19 +92,15 @@ def reverse(A: WeightedAutomaton) -> WeightedAutomaton:
     return WeightedAutomaton(table, A.eta, A.alpha)
 
 
-def _entries(M: Mat) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x, M.den) for x in M.num)
-
-
 def _forward_restrict(A: WeightedAutomaton) -> WeightedAutomaton:
     F = forward_space(A)
     basis = F.basis
     alpha = F.coordinates(Mat.row_vector(A.alpha))
     # rows of basis * M(a) stay inside the forward space
     mapping = {a: F.coordinates(basis * A.table.mapping[a]) for a in A.alphabet}
-    eta = basis * Mat.row_vector(A.eta).transpose()
+    eta = Mat.row_vector(A.eta) * basis.transpose()
     return WeightedAutomaton(MorphismTable(F.dim, A.alphabet, mapping),
-                             _entries(alpha), _entries(eta))
+                             alpha.data[0], eta.data[0])
 
 
 def minimize(A: WeightedAutomaton) -> WeightedAutomaton:

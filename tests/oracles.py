@@ -20,6 +20,9 @@
   conjugates every element to check it.
 - `oracle_bfs`: the closure BFS as it was before it deferred the torsion
   test. It tests every element as it admits it.
+- `oracle_minimal_polynomial`: the minimal polynomial as it was before it
+  became a left kernel of the stacked powers. It reduces each power
+  against the earlier ones by hand, keeping each row's combination.
 - `OracleShortener`: the `Shortener` with its rank peel as it was before
   it became one pass. Every block scan restarts from the identity, and
   every block body is shortened, even when an earlier block already gave
@@ -38,7 +41,7 @@ from semiforge.exterior import AmbientMismatch
 from semiforge import semigroup
 from semiforge.grouplat import _hnf_rows
 from semiforge.imagegraph import RankDropped
-from semiforge.linalg import _frac, image, stack
+from semiforge.linalg import DimensionMismatch, _frac, _mat, image, stack
 from semiforge.shortener import _spell
 
 
@@ -269,6 +272,44 @@ def oracle_bfs(letters, cap, identity=None):
     return store, "finite", None
 
 
+def oracle_minimal_polynomial(A: Mat) -> tuple:
+    """Monic minimal polynomial of A, constant term first.
+
+    With A = N / den for the integer matrix N, the flattened powers N^0,
+    N^1, ... are reduced against each other, fraction-free, while each
+    reduced row keeps its combination of the powers. The first power that
+    reduces to zero gives the dependence sum c_j N^j = 0, that is
+    sum c_j den^j A^j = 0.
+
+    The 0x0 matrix gets the unit polynomial 1.
+    """
+    if not A.is_square():
+        raise DimensionMismatch("minimal polynomial needs a square matrix")
+    n = A.rows
+    if n == 0:
+        return (Fraction(1),)
+    N = _mat(n, n, A.num, 1)
+    reduced = []  # (pivot, row, combination) for the independent powers so far
+    power = Mat.identity(n)
+    for k in range(n + 1):
+        row = list(power.num)
+        comb = [int(j == k) for j in range(n + 1)]
+        for p, prow, pcomb in reduced:
+            f = row[p]
+            if f:
+                g = prow[p]
+                row = [g * x - f * y for x, y in zip(row, prow)]
+                comb = [g * x - f * y for x, y in zip(comb, pcomb)]
+        if not any(row):
+            lead = comb[k] * A.den ** k
+            return tuple(Fraction(c * A.den ** j, lead) for j, c in enumerate(comb[:k + 1]))
+        g = math.gcd(*row, *comb)
+        reduced.append((next(j for j, x in enumerate(row) if x),
+                        [x // g for x in row], [x // g for x in comb]))
+        power = power * N
+    raise AssertionError("minimal polynomial of degree <= n must exist")
+
+
 def peel_blocks(table, word, r):
     """The rank-r blocks of `word` as (head letter, body) pairs, left to
     right, and the prefix of rank > r they leave: each peel scans from the
@@ -304,8 +345,11 @@ class OracleShortener(Shortener):
         n = table.n
         if r == n:
             used = set(word)
-            letters = tuple(a for a in table.alphabet if a in used)
-            u = self._group_word(tuple((a, table.mapping[a]) for a in letters), value)
+            spelled = {}
+            for a in table.alphabet:
+                if a in used:
+                    spelled.setdefault(table.mapping[a], (a,))
+            u = self._group_word(spelled, value)
             return word if len(word) < len(u) else u
         segments, prefix = peel_blocks(table, word, r)
         short_prefix = self.shorten(prefix)

@@ -140,7 +140,7 @@ class TestShorten:
 
     def test_assume_finite_witness_is_in_the_input_letters(self, capsys, tmp_path):
         # the infinitude shows in a group closure over the shortener's cycle
-        # labels, such as "c1"; the witness is spelled in the file's letters
+        # matrices; the witness is spelled in the file's letters
         path = gens_file(tmp_path, {"a": [[2, 0], [0, 0]], "b": [[1, 0], [0, 0]]})
         code, out = run(capsys, "shorten", path, "--word", "abab", "--assume-finite")
         assert code == 0 and out["status"] == "infinite"
@@ -230,6 +230,25 @@ class TestImageGraph:
         assert code == 0
         assert out["rank"] == 2 and out["num_sccs"] == 1
         assert dot.read_text().startswith("digraph image_graph {")
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259); with LC_ALL=C and UTF-8 mode off, Python's
+    # default file encoding is ASCII
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({"n": 1, "generators": {"é": {"entries": [["2"]]}}},
+                               ensure_ascii=False), encoding="utf-8")
+    dot = tmp_path / "g.dot"
+    env = dict(os.environ, PYTHONPATH=str(Path(semiforge.__file__).parent.parent),
+               LC_ALL="C", PYTHONUTF8="0")
+    for argv, letter in ((["finiteness", str(path)], lambda out: out["witness"]),
+                         (["image-graph", str(path), "--dot", str(dot)],
+                          lambda out: out["edges"][0]["letter"])):
+        run = subprocess.run([sys.executable, "-m", "semiforge.cli", *argv],
+                             env=env, capture_output=True)
+        assert run.returncode == 0, run.stderr
+        assert letter(json.loads(run.stdout)) == "é"
+    assert "é" in dot.read_bytes().decode("utf-8")
 
 
 class TestWaFinite:

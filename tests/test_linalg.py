@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semiforge import (Mat, Subspace, det, image, inverse,
                        kernel, minimal_polynomial, rank, rref,
                        DimensionMismatch, NotInvertible)
 from semiforge.linalg import LinAlgError, stack
 from conftest import ROT90, mat, random_rational
+from oracles import oracle_minimal_polynomial
 
 F = Fraction
 
@@ -36,8 +37,17 @@ class TestMat:
             Mat([[1, 2], [3]])
         with pytest.raises(DimensionMismatch):
             Mat([], cols=None)
+        with pytest.raises(DimensionMismatch):
+            Mat([[1, 2]], cols=3)
         empty = Mat([], cols=3)
         assert empty.rows == 0 and empty.cols == 3
+        with pytest.raises(DimensionMismatch):
+            mat([[1, 2]]) * mat([[1, 2]])
+        with pytest.raises(DimensionMismatch):
+            mat([[1]]) + mat([[1, 2]])
+        for square_only in (inverse, det, minimal_polynomial):
+            with pytest.raises(DimensionMismatch):
+                square_only(mat([[1, 2]]))
 
     def test_product_example(self):
         a = mat([[1, 2], [3, 4]])
@@ -115,6 +125,11 @@ class TestSubspace:
         assert Subspace.zero(3).dim == 0
         assert Subspace.full(3).dim == 3
 
+    def test_kernel_of_empty_shapes(self):
+        # no rows: the kernel of Q^0; no columns: every x*A is the empty row
+        assert kernel(Mat([], cols=3)) == Subspace.zero(0)
+        assert kernel(Mat([(), ()], cols=0)) == Subspace.full(2)
+
     @given(matrices())
     def test_kernel_annihilates(self, m):
         k = kernel(m)
@@ -171,6 +186,14 @@ class TestMinimalPolynomial:
             total = total + c * power
             power = power * m
         assert total.is_zero()
+
+    # the characteristic polynomial also annihilates and is monic; only the
+    # former hand-written reduction pins minimality
+    @settings(max_examples=60)
+    @given(square_matrices(max_dim=4))
+    @example(Mat.identity(0))
+    def test_matches_the_hand_written_reduction(self, m):
+        assert minimal_polynomial(m) == oracle_minimal_polynomial(m)
 
 
 def test_stack():

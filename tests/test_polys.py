@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from semiforge import polys
@@ -30,6 +31,13 @@ def test_divmod_example():
     quo, rem = polys.divmod_poly(p, q)
     assert quo == (F(1), F(1), F(1))
     assert rem == polys.ZERO
+
+
+def test_division_by_zero_and_constant_moduli_are_refused():
+    with pytest.raises(ZeroDivisionError):
+        polys.divmod_poly((F(1),), polys.ZERO)
+    with pytest.raises(ValueError):
+        polys.pow_x_mod(3, (F(2),))
 
 
 @given(poly, nonzero_poly)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from semiforge import (DimensionMismatch, Mat, NotMember, decide_finiteness,
+from semiforge import (DimensionMismatch, Mat, MorphismTable, NotMember, decide_finiteness,
                        is_torsion, length_bound, shortest_word_for, size_bound)
 from semiforge import polys, semigroup
 from semiforge.linalg import det, inverse
@@ -63,6 +63,13 @@ class TestClosure:
         result = decide_finiteness(table_from([PROJ_X])).closure
         with pytest.raises(NotMember):
             shortest_word_for(result, ROT90)
+
+
+def test_morphism_table_checks_letters_and_sizes():
+    with pytest.raises(ValueError, match="alphabet and mapping keys differ"):
+        MorphismTable(2, ("a",), {"b": ROT90})
+    with pytest.raises(ValueError, match="is not 3x3"):
+        MorphismTable(3, ("a",), {"a": ROT90})
 
 
 class TestTotient:

@@ -215,7 +215,7 @@ class TestShortener:
 
     def test_witness_is_a_non_torsion_word_over_the_table(self):
         # with the finiteness gate skipped, infinitude shows inside the
-        # shortener, in a group closure over cycle labels or derived
+        # shortener, in a group closure over cycle matrices or derived
         # letters; the witness is still spelled in the table's letters
         rng = random.Random(53)
         raised = 0
@@ -430,7 +430,8 @@ def test_self_checks_catch_a_wrong_group_word(monkeypatch, letter):
     route both refuse it."""
     real = Shortener._group_word
     monkeypatch.setattr(Shortener, "_group_word",
-                        lambda self, gens, target: real(self, gens, target) + (gens[0][0],))
+                        lambda self, spelled, target: real(self, spelled, target)
+                        + next(iter(spelled.values())))
     with pytest.raises(AssertionError):
         Shortener(table_from({"a": letter})).shorten(("a",) * 5)
 

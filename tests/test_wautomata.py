@@ -35,6 +35,11 @@ class TestEvaluate:
         with pytest.raises(UnknownLetter):
             evaluate(counting_automaton(), ("z",))
 
+    def test_state_vectors_need_one_entry_per_state(self):
+        for alpha, eta in (((1,), (0, 1)), ((1, 0), (0, 1, 0))):
+            with pytest.raises(ValueError, match="one entry per state"):
+                automaton({"a": Mat.identity(2)}, alpha, eta)
+
 
 class TestSpaces:
     def test_forward_space_grows_to_invariant(self):
