@@ -44,52 +44,41 @@ class ImageGraph:
     num_sccs: int
 
 
-def _tarjan(vertices, neighbors):
-    """Iterative Tarjan; components come out sinks-first."""
-    index: dict = {}
-    lowlink: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    components: list[list] = []
-    counter = 0
-    for root in vertices:
-        if root in index:
-            continue
-        work = [(root, iter(neighbors(root)))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(neighbors(w))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
+def _finish_order(root, neighbors, seen: set) -> list:
+    """The vertices first reached from `root` (those not in `seen`, which
+    gains them) in the order an iterative DFS finishes them."""
+    if root in seen:
+        return []
+    seen.add(root)
+    order, work = [], [(root, iter(neighbors(root)))]
+    while work:
+        v, it = work[-1]
+        for w in it:
+            if w not in seen:
+                seen.add(w)
+                work.append((w, iter(neighbors(w))))
+                break
+        else:
             work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
-    return components
+            order.append(v)
+    return order
+
+
+def _sccs(vertices, neighbors) -> list[list]:
+    """Kosaraju's two traversals, components sinks-first as Tarjan's emits
+    them. A DFS lists the vertices by finishing time; then the reversed
+    edges, walked from each vertex not yet placed, latest finish first,
+    collect its component. A component's first vertex met so is its last
+    to finish (Tarjan's root), so the components are met sources-first."""
+    seen: set = set()
+    finished = [v for root in vertices for v in _finish_order(root, neighbors, seen)]
+    reverse: dict = {v: [] for v in vertices}
+    for v in vertices:
+        for w in neighbors(v):
+            reverse[w].append(v)
+    placed: set = set()
+    components = [_finish_order(root, lambda v: reverse[v], placed) for root in reversed(finished)]
+    return [c for c in reversed(components) if c]
 
 
 def build_image_graph(table: MorphismTable, memo: dict | None = None) -> ImageGraph:
@@ -115,7 +104,7 @@ def build_image_graph(table: MorphismTable, memo: dict | None = None) -> ImageGr
     out = {V: {a: letter_image[a] for a in table.alphabet if memo[V, table.mapping[a]]}
            for V in vertices}
 
-    components = _tarjan(vertices, lambda v: out[v].values())
+    components = _sccs(vertices, lambda v: out[v].values())
     scc_id = {v: cid for cid, component in enumerate(components) for v in component}
     return ImageGraph(table, r, vertices, letter_image, out, scc_id, len(components))
 

@@ -34,6 +34,8 @@ class InfiniteSemigroup(RuntimeError):
 
 DEFAULT_CAP = 1_000_000
 
+_END = object()  # the end of a word for `evaluate`: a letter may be None
+
 
 @dataclass
 class MorphismTable:
@@ -57,8 +59,8 @@ class MorphismTable:
 
     def evaluate(self, word) -> Mat:
         letters = iter(word)
-        first = next(letters, None)
-        if first is None:
+        first = next(letters, _END)
+        if first is _END:
             return Mat.identity(self.n)
         m = self.mapping[first]
         for a in letters:
@@ -191,15 +193,6 @@ def _divide(p: list, q: tuple) -> list | None:
     return None if any(p[cut:]) else p[:cut]
 
 
-def _times(p: list, q: tuple) -> list:
-    """p * q for integer polynomials, leading coefficient first."""
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 @functools.cache
 def _cyclotomic(k: int) -> tuple:
     """The k-th cyclotomic polynomial, leading coefficient first: x^k - 1
@@ -231,8 +224,8 @@ def is_torsion(A: Mat) -> bool:
     2. p divides out into cyclotomic factors Phi_k, phi(k) <= deg p; the
        distinct ones multiply to rad(p);
     3. when p is squarefree, x^b * rad(p) is chi_A, which vanishes at A by
-       Cayley-Hamilton; otherwise a Horner chain evaluates
-       A^b * rad(p)(A).
+       Cayley-Hamilton; otherwise one Horner chain per distinct factor
+       gives Phi(A), and A^b * rad(p)(A) is their product times A^b.
     """
     if not A.is_square():
         raise DimensionMismatch("torsion test needs a square matrix")
@@ -266,15 +259,14 @@ def is_torsion(A: Mat) -> bool:
         return False
     if squarefree:
         return True
-    f = [1]
-    for phi in factors:
-        f = _times(f, phi)
-    f += [0] * b
     I = Mat.identity(n)
-    H = A + f[1] * I  # f is monic
-    for c in f[2:]:
-        H = H * A + c * I
-    return H.is_zero()
+    chains = []
+    for phi in factors:
+        H = A + phi[1] * I  # phi is monic
+        for c in phi[2:]:
+            H = H * A + c * I
+        chains.append(H)
+    return functools.reduce(mul, chains + [A] * b).is_zero()
 
 
 @dataclass

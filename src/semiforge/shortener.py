@@ -51,10 +51,10 @@ def cycle_rep(table: MorphismTable, base: Subspace, word) -> Mat:
 class Shortener:
     """Word rewriter for one morphism table; results are deterministic.
 
-    Image graphs, the image and edge tests they are built from, group
-    closures, cycle matrices, their inverses and SCC paths are cached
-    across calls. Every cache is keyed by values: each invented letter (a
-    block product of the rank recursion, a cycle matrix) is its own matrix."""
+    Image graphs with their SCC paths, the image and edge tests they are
+    built from, group closures, cycle matrices with their inverses, and
+    results are cached across calls, keyed by values: each invented letter
+    (a block product of the rank recursion, a cycle matrix) is its own matrix."""
 
     def __init__(self, table: MorphismTable, assume_finite: bool = False,
                  cap: int = DEFAULT_CAP):
@@ -71,8 +71,6 @@ class Shortener:
         self.image_tests: dict = {}
         self.groups: dict = {}
         self.mprimes: dict = {}
-        self.inverses: dict[Mat, Mat] = {}
-        self.paths: dict = {}
         self._memo: dict[Word, Word] = {}
 
     def shorten(self, word) -> Word:
@@ -94,45 +92,45 @@ class Shortener:
                 raise InfiniteSemigroup(_spell(exc.witness, spelled)) from None
         return _spell(shortest_word_for(self.groups[gens], target), spelled)
 
-    def _within_scc(self, G: ImageGraph, a: object, word: Word, value: Mat | None) -> Word:
+    def _within_scc(self, G: ImageGraph, paths: dict, a: object, word: Word,
+                    value: Mat | None) -> Word:
         """Rewrite a path that stays in the SCC of im(a): same value after
         the leading letter, length bounded independently of the input.
-        `value` is M(a)*M(word), for the self-check (None under -O)."""
+        `paths` caches G's shortest paths by vertex pair; `value` is
+        M(a)*M(word), for the self-check (None under -O)."""
         if not word:
             return ()
         table = G.table
         base = G.letter_image[a]
 
         def sp(x: object, y: object) -> Word:
-            key = (table.alphabet, G.letter_image[x].basis, G.letter_image[y].basis)
-            if key not in self.paths:
-                self.paths[key] = scc_shortest_path(G, G.letter_image[x], G.letter_image[y])
-            return self.paths[key]
+            key = (G.letter_image[x], G.letter_image[y])
+            if key not in paths:
+                paths[key] = scc_shortest_path(G, *key)
+            return paths[key]
 
         # each distinct cycle matrix M', in order of appearance: its first word
         cycles: dict[Mat, Word] = {}
 
-        def cycle(w: Word) -> Mat:
+        def cycle(w: Word) -> tuple[Mat, Mat]:
             # a word over matrices fixes its value, whose image is the base
-            m = self.mprimes.get(w)
-            if m is None:
-                m = self.mprimes[w] = cycle_rep(table, base, w)
-            cycles.setdefault(m, w)
-            return m
+            pair = self.mprimes.get(w)
+            if pair is None:
+                m = cycle_rep(table, base, w)
+                pair = self.mprimes[w] = (m, inverse(m))
+            cycles.setdefault(pair[0], w)
+            return pair
 
         target = Mat.identity(base.dim)
         previous = a  # sp(a, a) is empty
         for b in word:
             around = sp(a, previous) + (b,) + sp(b, a)
             back_and_forth = sp(a, b) + sp(b, a)
-            target = target * cycle(around)
+            target = target * cycle(around)[0]
             if back_and_forth:
                 # the proof appends this cycle order-minus-one times; its group
                 # element is simply the inverse
-                m = cycle(back_and_forth)
-                if m not in self.inverses:
-                    self.inverses[m] = inverse(m)
-                target = target * self.inverses[m]
+                target = target * cycle(back_and_forth)[1]
             previous = b
         # a witness over the M' spells a non-torsion word: P*M(w)^k = M'^k*P
         u = self._group_word(cycles, target) + sp(a, previous)
@@ -142,15 +140,15 @@ class Shortener:
     def _max_rank(self, table: MorphismTable, word: Word) -> Word:
         """Equal-rank case: rewrite a rank-r word over rank-r generators."""
         if table.alphabet not in self.graphs:
-            self.graphs[table.alphabet] = build_image_graph(table, self.image_tests)
-        G = self.graphs[table.alphabet]
+            self.graphs[table.alphabet] = (build_image_graph(table, self.image_tests), {})
+        G, paths = self.graphs[table.alphabet]
         segments = scc_segment_decompose(G, word)
         # the self-checks compare against each segment's value, computed once
         # from the input (and not at all under -O), and against their product
         values = [table.evaluate((head,) + body) if __debug__ else None
                   for head, body in segments]
         u = tuple(x for (head, body), value in zip(segments, values)
-                  for x in (head,) + self._within_scc(G, head, body, value))
+                  for x in (head,) + self._within_scc(G, paths, head, body, value))
         assert table.evaluate(u) == reduce(Mat.__mul__, values)
         return word if len(word) < len(u) else u
 

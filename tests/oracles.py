@@ -18,6 +18,9 @@
 - `oracle_integerize`: the integerization as it was before it became a
   fixpoint over the generators. It takes one HNF per group element and
   conjugates every element to check it.
+- `oracle_tarjan`: the image graph's SCCs as they were before Kosaraju's
+  two traversals replaced them. It keeps Tarjan's index, lowlink and
+  on-stack bookkeeping in one iterative DFS.
 - `oracle_bfs`: the closure BFS as it was before it deferred the torsion
   test. It tests every element as it admits it.
 - `oracle_minimal_polynomial`: the minimal polynomial as it was before it
@@ -242,6 +245,54 @@ def oracle_integerize(G):
         if not conj.is_integral() or abs(det(conj)) != 1:
             raise InfiniteSemigroup()
     return C
+
+
+def oracle_tarjan(vertices, neighbors):
+    """Iterative Tarjan; components come out sinks-first."""
+    index: dict = {}
+    lowlink: dict = {}
+    on_stack: set = set()
+    stack: list = []
+    components: list[list] = []
+    counter = 0
+    for root in vertices:
+        if root in index:
+            continue
+        work = [(root, iter(neighbors(root)))]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(neighbors(w))))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    lowlink[v] = min(lowlink[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+            if lowlink[v] == index[v]:
+                component = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    component.append(w)
+                    if w == v:
+                        break
+                components.append(component)
+    return components
 
 
 def oracle_bfs(letters, cap, identity=None):

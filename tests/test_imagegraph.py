@@ -6,9 +6,10 @@ import pytest
 from semiforge import (Mat, MixedRankGenerators, NotSameSCC, RankDropped,
                        build_image_graph, image, inverse, scc_segment_decompose,
                        scc_shortest_path, to_dot)
+from semiforge.imagegraph import _sccs
 from conftest import (PROJ_X, PROJ_Y, ROT90, all_words, bfs_distance, mat, random_invertible,
                       random_equal_rank_table, table_from)
-from oracles import kernel_edges, prefix_scan_decompose
+from oracles import kernel_edges, oracle_tarjan, prefix_scan_decompose
 
 
 def cross_edges(G):
@@ -66,6 +67,37 @@ class TestBuild:
         ia, ic = G.scc_id[va], G.scc_id[vc]
         assert cross_edges(G) == {(vc, "a", va)}
         assert ia < ic
+
+
+class TestSccsMatchTarjan:
+    """Kosaraju's `_sccs` against `oracle_tarjan`: the same components in
+    the same order, sinks first (vertices within a component may differ
+    in order)."""
+
+    @staticmethod
+    def same(vertices, out):
+        ours = _sccs(vertices, lambda v: out[v])
+        oracle = oracle_tarjan(vertices, lambda v: out[v])
+        assert [set(c) for c in ours] == [set(c) for c in oracle]
+        assert sorted(v for c in ours for v in c) == sorted(vertices)
+
+    def test_random_multigraphs(self):
+        # duplicate edges and self-loops included; vertex order shuffled
+        rng = random.Random(21)
+        for _ in range(400):
+            size = rng.randint(1, 20)
+            vertices = list(range(size))
+            rng.shuffle(vertices)
+            out = {v: [rng.randrange(size) for _ in range(rng.randint(0, 3))] for v in vertices}
+            self.same(vertices, out)
+
+    def test_long_path_and_cycle_need_no_recursion(self):
+        size = 3000
+        path = {v: [v + 1] if v + 1 < size else [] for v in range(size)}
+        self.same(list(range(size)), path)
+        assert _sccs(range(size), lambda v: path[v]) == [[v] for v in reversed(range(size))]
+        cycle = {v: [(v + 1) % size] for v in range(size)}
+        self.same(list(range(size)), cycle)
 
 
 class TestPaths:

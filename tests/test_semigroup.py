@@ -7,16 +7,38 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from semiforge import (DimensionMismatch, Mat, MorphismTable, NotMember, decide_finiteness,
-                       is_torsion, length_bound, shortest_word_for, size_bound)
+                       is_torsion, length_bound, shorten, shortest_word_for, size_bound)
 from semiforge import polys, semigroup
 from semiforge.linalg import det, inverse
 from semiforge.semigroup import DEFAULT_CAP, g_upper_bound, _bfs, _charpoly, _letters, _totient
-from conftest import (PROJ_X, PROJ_Y, ROT90, SHIFT_NILP, brute_closure,
+from conftest import (PROJ_X, PROJ_Y, ROT90, SHIFT_NILP, all_words, brute_closure,
                       companion, cyclotomic, mat, oracle_is_torsion,
                       power_iteration_torsion, table_from)
 from oracles import oracle_bfs
 
 F = Fraction
+
+
+class TestAnyHashableLetter:
+    """A letter is any hashable label, None, 0, () and a matrix included:
+    none of them reads as the end of a word."""
+
+    def test_evaluate_matches_a_plain_product(self):
+        shear = mat([[1, 1], [0, 1]])
+        mapping = {None: mat([[2, 0], [0, 1]]), 0: ROT90, (): mat([[3, 0], [0, 5]]), shear: shear}
+        table = MorphismTable(2, tuple(mapping), mapping)
+        for word in all_words(table.alphabet, 3, min_len=0):
+            product = Mat.identity(2)
+            for a in word:
+                product = product * mapping[a]
+            assert table.evaluate(word) == product, word
+
+    def test_shorten_round_trip_on_a_none_letter(self):
+        table = MorphismTable(1, (None, "a"), {None: mat([[0]]), "a": mat([[-1]])})
+        for word in ((None,) * 3, ("a", None, "a"), ("a",) * 3, (None, "a", "a", None)):
+            u = shorten(table, word)
+            assert table.evaluate(u) == table.evaluate(word) and len(u) <= len(word)
+        assert shorten(table, (None,) * 3) == (None,)
 
 
 class TestClosure:

@@ -358,14 +358,14 @@ def test_warm_shortener_matches_fresh_ones():
                 words += 1
         # every cached cycle matrix is the one its word alone gives: the
         # word's letters are matrices, and its image is the base space
-        for w, m in warm.mprimes.items():
+        for w, (m, _) in warm.mprimes.items():
             letters = tuple(dict.fromkeys(w))
             sub = MorphismTable(table.n, letters, {x: x for x in letters})
             assert m == cycle_rep(sub, image(sub.evaluate(w)), w)
         # every graph built on the shared image and edge tests is the one
         # its alphabet alone gives, in the same order
         graphs += len(warm.graphs)
-        for G in warm.graphs.values():
+        for G, _ in warm.graphs.values():
             fresh = build_image_graph(G.table)
             assert G.vertices == fresh.vertices and G.scc_id == fresh.scc_id
             assert [list(G.out[V].items()) for V in G.vertices] == \
