@@ -1,4 +1,4 @@
-"""Finite matrix group utilities: BFS group closure with shortest
+"""Finite matrix group utilities: group closure with shortest
 witnesses, integer row-style Hermite normal form, and conjugation of a
 finite rational matrix group into GL(n,Z) via its invariant lattice.
 """
@@ -30,7 +30,8 @@ class FiniteGroupClosure(ClosureResult):
 
 
 def group_closure(table: MorphismTable, cap: int = DEFAULT_CAP) -> FiniteGroupClosure:
-    """BFS closure from the identity under right multiplication.
+    """Closure from the identity under right multiplication (`_bfs`'s
+    Froidure-Pin enumeration in monoid mode).
 
     Raises InfiniteSemigroup on a non-torsion element or when the closure
     exceeds (2n)! elements (either certifies infinitude), and CapExceeded

@@ -1,6 +1,7 @@
-"""Finitely generated rational matrix semigroups: BFS closure with
-shortest witness words, the torsion test, the finiteness decision, and
-the length / size bound calculators.
+"""Finitely generated rational matrix semigroups: the closure with
+shortest witness words, enumerated breadth-first by Froidure and Pin's
+method, the torsion test, the finiteness decision, and the length / size
+bound calculators.
 """
 
 from __future__ import annotations
@@ -101,6 +102,20 @@ def _bfs(letters, cap: int, identity: Mat | None = None):
     that hit the cap or names a non-torsion element. A cap below 1 is
     refused: it admits nothing, so it can give no verdict.
 
+    The enumeration is Froidure and Pin's ("Algorithms for computing
+    finite semigroups", 1997). Elements are numbered in insertion order
+    from the root 0, the empty product, and a word is kept as a parent
+    pointer: its prefix and its last letter. Write an element u as b.s,
+    with b its first letter and s its suffix, and let r be the element
+    s.a for a letter a. If r's word is s's word then a, u.a is
+    multiplied out and looked up. Otherwise r's word is shortlex-less,
+    and u.a = b.prefix(r).final(r) is read off the right and left
+    Cayley graphs at elements whose rows are already known; the left
+    rows of a length level are filled once the next level starts. So
+    the store gains the same elements, in the same (element, letter)
+    order, as a BFS that multiplies every pair. The words are spelled
+    into it, shortest first, once the graphs are dropped.
+
     Torsion is tested late (see DEFER) but in insertion order, and every
     untested element is tested before a cap is reported, so all is as if
     each were tested on admission. A BFS that closes skips the rest: each
@@ -109,31 +124,76 @@ def _bfs(letters, cap: int, identity: Mat | None = None):
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    store: dict[Mat, Word] = {}
+    labels = [a for a, _ in letters]
+    gens = [g for _, g in letters]
+    k = len(gens)
+    store: dict = {}  # matrix -> element number, until the words are spelled
     if identity is not None:
-        store[identity] = ()
-    queue = [identity]  # in insertion order; None stands for the empty product
-    tested = 1  # queue[tested:] awaits the torsion test
-    for m in queue:  # reaches what the loop appends
-        w = () if m is None else store[m]
-        for a, g in letters:
-            p = g if m is None else m * g
-            if p in store:
+        store[identity] = 0
+    mats = [identity]  # by element number; without `identity` the root's is None
+    first, final, prefix, suffix = [None], [None], [None], [None]
+    right: list = []  # right[u * k + a] is the element u.a
+    left: list = []  # left[u * k + b] is the element b.u
+    tested = 1  # mats[tested:] awaits the torsion test
+    filled = level = 0  # elements below `filled` have left rows; the next level starts at `level`
+    for u, m in enumerate(mats):  # reaches what the loop appends
+        if u == level:  # every element before u has its right row
+            for v in range(filled, u):
+                if v:
+                    pk, f = prefix[v] * k, final[v]
+                    for b in range(k):
+                        left.append(right[left[pk + b] * k + f])
+                else:
+                    left += right[:k]
+            filled, level = u, len(mats)
+        b, s = first[u], suffix[u]
+        for a, r in enumerate(right[s * k:s * k + k] if u else [0] * k):
+            if not u:
+                p = gens[a]
+            elif r == 0:  # s.a is the identity, so u.a = b
+                right.append(right[b])
                 continue
-            u = w + (a,)
-            if len(store) >= cap:
-                for q in queue[tested:]:
-                    if not is_torsion(q):
-                        return store, "infinite", store[q]
-                return store, "exceeded_cap", u
-            store[p] = u
-            queue.append(p)
-            if len(queue) > DEFER * tested:
-                q = queue[tested]
-                if not is_torsion(q):
-                    return store, "infinite", store[q]
-                tested += 1
+            elif prefix[r] != s or final[r] != a:  # r's word is shortlex-less than s's then a
+                right.append(right[left[prefix[r] * k + b] * k + final[r]])
+                continue
+            else:
+                p = m * gens[a]
+            i = store.get(p)
+            if i is None:
+                if len(store) >= cap:
+                    words = _spell(store, mats, prefix, final, labels)
+                    for q in range(tested, len(mats)):
+                        if not is_torsion(mats[q]):
+                            return store, "infinite", words[q]
+                    return store, "exceeded_cap", words[u] + (labels[a],)
+                i = len(mats)
+                store[p] = i
+                mats.append(p)
+                first.append(b if u else a)
+                final.append(a)
+                prefix.append(u)
+                suffix.append(r)
+                if len(mats) > DEFER * tested:
+                    if not is_torsion(mats[tested]):
+                        return store, "infinite", _spell(store, mats, prefix, final, labels)[tested]
+                    tested += 1
+            right.append(i)
+    del right, left, first, suffix  # the Cayley graphs go before the words come
+    _spell(store, mats, prefix, final, labels)
     return store, "finite", None
+
+
+def _spell(store: dict, mats: list, prefix: list, final: list, labels: list) -> list:
+    """Write each element's word over its number in `store`, shortest
+    first, and return the words by element number."""
+    words = [()]
+    for i in range(1, len(mats)):
+        w = words[prefix[i]] + (labels[final[i]],)
+        words.append(w)
+        store[mats[i]] = w
+    if mats[0] is not None:
+        store[mats[0]] = ()
+    return words
 
 
 def _letters(table: MorphismTable) -> list:

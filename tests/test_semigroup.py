@@ -7,13 +7,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from semiforge import (DimensionMismatch, Mat, MorphismTable, NotMember, decide_finiteness,
-                       is_torsion, length_bound, shorten, shortest_word_for, size_bound)
+                       group_closure, is_torsion, length_bound, shorten, shortest_word_for,
+                       size_bound)
 from semiforge import polys, semigroup
 from semiforge.linalg import det, inverse
 from semiforge.semigroup import DEFAULT_CAP, g_upper_bound, _bfs, _charpoly, _letters, _totient
 from conftest import (PROJ_X, PROJ_Y, ROT90, SHIFT_NILP, all_words, brute_closure,
                       companion, cyclotomic, mat, oracle_is_torsion,
-                      power_iteration_torsion, table_from)
+                      power_iteration_torsion, signed_perm_generators, table_from)
 from oracles import oracle_bfs
 
 F = Fraction
@@ -345,6 +346,76 @@ def test_bfs_matches_the_eager_oracle(monoid):
         # found by the test of the untested prefix at the cap
         seen["infinite at the cap"] += status == "infinite" and len(store) == cap
     assert min(seen.values()) >= 10, seen
+
+
+def _matches_the_eager_oracle(letters, cap, identity):
+    """`_bfs` against `oracle_bfs`: the same status and word, and the same
+    store, of which the oracle's is only a prefix when it stops at an
+    "infinite" witness. Returns the status."""
+    store, status, word = _bfs(letters, cap, identity=identity)
+    expected, expected_status, expected_word = oracle_bfs(letters, cap, identity=identity)
+    assert (status, word) == (expected_status, expected_word)
+    got = list(store.items())
+    assert got[:len(expected)] == list(expected.items())
+    assert status == "infinite" or len(got) == len(expected)
+    return status
+
+
+@pytest.mark.parametrize("monoid", [False, True], ids=["semigroup", "group"])
+def test_bfs_matches_the_eager_oracle_with_special_letters(monoid):
+    """The products that Froidure-Pin reads off the Cayley graphs instead of
+    multiplying, where a letter repeats an earlier letter's matrix, is the
+    identity or is zero, over letters that include None and a matrix."""
+    rng = random.Random(29)
+    labels = (None, Mat([[7]]), "a", 0)
+    seen = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+
+        def row():
+            if rng.random() < 0.4:
+                return [rng.choice((0, 1, -1)) for _ in range(n)]
+            return _mostly_monomial_row(rng, n)
+
+        mats = [Mat([row() for _ in range(n)]) for _ in range(rng.randint(1, 3))]
+        special = rng.choice(("repeated", "identity", "zero"))
+        extra = {"repeated": rng.choice(mats), "identity": Mat.identity(n),
+                 "zero": Mat.zeros(n, n)}[special]
+        mats.insert(rng.randint(0, len(mats)), extra)
+        cap = DEFAULT_CAP if rng.random() < 0.25 else rng.randint(1, rng.choice((12, 60)))
+        identity = Mat.identity(n) if monoid else None
+        seen[special, _matches_the_eager_oracle(list(zip(labels, mats)), cap, identity)] += 1
+    assert len(seen) == 9 and min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_bfs_matches_the_eager_oracle_on_signed_permutation_groups(n):
+    """The hyperoctahedral groups, orders 2 to 3840; at n = 1 the cycle
+    letter is the identity."""
+    letters = _letters(table_from(signed_perm_generators(n)))
+    for identity in (None, Mat.identity(n)):
+        assert _matches_the_eager_oracle(letters, DEFAULT_CAP, identity) == "finite"
+
+
+def test_closure_multiplies_at_most_half_of_the_pairs(monkeypatch):
+    """On the order-3840 signed permutation group (a 5-cycle, a
+    transposition and a sign change), a BFS that multiplies every
+    (element, letter) pair makes 12090 products, torsion tests included.
+    Reading products off the Cayley graphs must save at least half."""
+    cycle, sign, swap = signed_perm_generators(5)
+    table = MorphismTable(5, ("c", "t", "s"), {"c": cycle, "t": swap, "s": sign})
+    count = Counter()
+    product = Mat.__mul__
+
+    def counted(self, other):
+        count["products"] += 1
+        return product(self, other)
+
+    monkeypatch.setattr(Mat, "__mul__", counted)
+    assert group_closure(table).order == 3840
+    assert count.pop("products") <= 6045
+    assert len(decide_finiteness(table).closure) == 3840
+    assert count.pop("products") <= 6045
 
 
 def test_witnesses_unchanged_under_the_oracle(monkeypatch):
