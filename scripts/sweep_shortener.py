@@ -15,8 +15,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from semiforge import (Mat, MorphismTable, Shortener, decide_finiteness, det,
-                       group_closure)
+from semiforge import Mat, MorphismTable, Shortener, decide_finiteness, det
 
 
 @dataclass
@@ -56,9 +55,9 @@ def run_sweep(config: SweepConfig) -> dict:
             continue
         stats["finite"] += 1
         shortener = Shortener(table, assume_finite=True)
-        group_order = None
-        if all(det(table.mapping[a]) != 0 for a in table.alphabet):
-            group_order = group_closure(table).order
+        # invertible generators of a finite semigroup generate a group
+        invertible = all(det(table.mapping[a]) != 0 for a in table.alphabet)
+        group_order = len(verdict.closure) if invertible else None
         best = {}
         values = {(): Mat.identity(2)}  # all_words yields each prefix first
         for word in all_words(table.alphabet, config.max_word_length):

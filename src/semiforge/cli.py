@@ -20,12 +20,12 @@ from . import __version__
 from .grouplat import NonInvertibleGenerator, group_closure, integerize
 from .imagegraph import MixedRankGenerators, build_image_graph, to_dot
 from .linalg import inverse
-from .semigroup import (DEFAULT_CAP, CapExceeded, InfiniteSemigroup, decide_finiteness,
-                        g_upper_bound, length_bound, size_bound)
+from .semigroup import (DEFAULT_CAP, CapExceeded, FinitenessResult, InfiniteSemigroup,
+                        decide_finiteness, g_upper_bound, length_bound, size_bound)
 from .serialize import (ParseError, automaton_from_json, generators_from_json,
                         matrix_to_json, parse_word, vass_from_json, word_to_str)
 from .shortener import shorten
-from .vass import Configuration, check_fmp, reach_bounded, transition_matrices
+from .vass import Configuration, reach_bounded, transition_matrices
 from .wautomata import decide_wa_finiteness
 
 
@@ -39,7 +39,9 @@ _MAX_NESTING = 1000
 _BRACKETS = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|([][{}])', re.DOTALL)
 
 
-def _load_json(path: str):
+def _load_json(path: str, kind: str):
+    """The model in the JSON file at `path`, read by the `kind` reader (looked
+    up per call, so a wrapped reader, say a profiler's, is the one called)."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -49,7 +51,7 @@ def _load_json(path: str):
         limit = sys.getrecursionlimit()  # json's decoder recurses once per level
         sys.setrecursionlimit(limit + _MAX_NESTING)
         try:
-            return json.loads(text)
+            obj = json.loads(text)
         finally:
             sys.setrecursionlimit(limit)
     except OSError as exc:
@@ -58,6 +60,8 @@ def _load_json(path: str):
         raise CliError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except ValueError as exc:  # not UTF-8, or an integer past the digit limit
         raise CliError(f"{path}: {exc}")
+    return {"generators": generators_from_json, "automaton": automaton_from_json,
+            "vass": vass_from_json}[kind](obj)
 
 
 def _write(path: str, text: str):
@@ -94,31 +98,21 @@ def _witness_listing(result, alphabet) -> list:
             for m, w in result.witness.items()]
 
 
-def _exceeded(cap) -> tuple[int, dict]:
-    return 2, {"status": "exceeded_cap", "cap": cap}
-
-
-def _infinite(witness, alphabet) -> tuple[int, dict]:
-    return 0, {"status": "infinite",
-               "witness": None if witness is None else word_to_str(witness, alphabet)}
-
-
-def _verdict(verdict, cap, alphabet) -> tuple[int, dict]:
+def _verdict(verdict: FinitenessResult, cap, alphabet) -> tuple[int, dict]:
     """Exit code and JSON of a FinitenessResult, without the closure."""
+    w = verdict.witness
     if verdict.status == "exceeded_cap":
-        return _exceeded(cap)
+        return 2, {"status": "exceeded_cap", "cap": cap}
     if verdict.status == "infinite":
-        return _infinite(verdict.witness, alphabet)
+        return 0, {"status": "infinite", "witness": None if w is None else word_to_str(w, alphabet)}
     return 0, {"status": verdict.status}
 
 
-def cmd_finiteness(args) -> tuple[int, dict]:
+def cmd_finiteness(args, table) -> tuple[int, dict]:
     """finiteness, and closure, which always lists the elements and says
     whether the identity is among them."""
-    cap = _cap(args.cap)
-    table = generators_from_json(_load_json(args.input))
-    verdict = decide_finiteness(table, cap)
-    code, out = _verdict(verdict, cap, table.alphabet)
+    verdict = decide_finiteness(table, args.cap)
+    code, out = _verdict(verdict, args.cap, table.alphabet)
     result = verdict.closure
     listing = args.command == "closure"
     if result is not None:
@@ -130,16 +124,9 @@ def cmd_finiteness(args) -> tuple[int, dict]:
     return code, out
 
 
-def cmd_shorten(args) -> tuple[int, dict]:
-    cap = _cap(args.cap)
-    table = generators_from_json(_load_json(args.input))
+def cmd_shorten(args, table) -> tuple[int, dict]:
     word = parse_word(args.word, table.alphabet)
-    try:
-        u = shorten(table, word, assume_finite=args.assume_finite, cap=cap)
-    except InfiniteSemigroup as exc:
-        return _infinite(exc.witness, table.alphabet)
-    except CapExceeded:
-        return _exceeded(cap)
+    u = shorten(table, word, assume_finite=args.assume_finite, cap=args.cap)
     verified = table.evaluate(u) == table.evaluate(word)
     return 0, {"input_length": len(word),
                "output_word": word_to_str(u, table.alphabet),
@@ -176,30 +163,22 @@ def _bound_fields(n: int, m: int | None = None) -> dict:
     return out
 
 
-def cmd_bound(args) -> tuple[int, dict]:
+def cmd_bound(args, _) -> tuple[int, dict]:
     _at_least(args.n, "--n", 1)
     _at_least(args.m, "--m", 1)
     return 0, {"n": args.n, **_bound_fields(args.n, args.m)}
 
 
-def cmd_integerize(args) -> tuple[int, dict]:
-    cap = _cap(args.cap)
-    table = generators_from_json(_load_json(args.input))
-    try:
-        G = group_closure(table, cap)
-        C = integerize(G)
-    except InfiniteSemigroup as exc:
-        return _infinite(exc.witness, table.alphabet)
-    except CapExceeded:
-        return _exceeded(cap)
+def cmd_integerize(args, table) -> tuple[int, dict]:
+    G = group_closure(table, args.cap)
+    C = integerize(G)
     Cinv = inverse(C)
     conjugated = {a: matrix_to_json(C * table.mapping[a] * Cinv) for a in table.alphabet}
     return 0, {"status": "finite", "order": G.order,
                "C": matrix_to_json(C), "conjugated_generators": conjugated}
 
 
-def cmd_image_graph(args) -> tuple[int, dict]:
-    table = generators_from_json(_load_json(args.input))
+def cmd_image_graph(args, table) -> tuple[int, dict]:
     G = build_image_graph(table)
     if args.dot:
         _write(args.dot, to_dot(G))
@@ -212,16 +191,13 @@ def cmd_image_graph(args) -> tuple[int, dict]:
                "num_sccs": G.num_sccs}
 
 
-def cmd_wa_finite(args) -> tuple[int, dict]:
-    cap = _cap(args.cap)
-    A = automaton_from_json(_load_json(args.input))
-    return _verdict(decide_wa_finiteness(A, cap), cap, A.alphabet)
+def cmd_wa_finite(args, A) -> tuple[int, dict]:
+    return _verdict(decide_wa_finiteness(A, args.cap), args.cap, A.alphabet)
 
 
-def cmd_vass_fmp(args) -> tuple[int, dict]:
-    cap = _cap(args.cap)
-    V = vass_from_json(_load_json(args.input))
-    return _verdict(check_fmp(V, cap), cap, transition_matrices(V).alphabet)
+def cmd_vass_fmp(args, V) -> tuple[int, dict]:
+    table = transition_matrices(V)
+    return _verdict(decide_finiteness(table, args.cap), args.cap, table.alphabet)
 
 
 def _parse_config(text: str, d: int) -> Configuration:
@@ -237,9 +213,7 @@ def _parse_config(text: str, d: int) -> Configuration:
         raise CliError(f"bad configuration {reprlib.repr(text)}: {exc}")
 
 
-def cmd_vass_reach(args) -> tuple[int, dict]:
-    _at_least(args.budget, "--budget", 0)
-    V = vass_from_json(_load_json(args.input))
+def cmd_vass_reach(args, V) -> tuple[int, dict]:
     source = _parse_config(args.source, V.d)
     target = _parse_config(args.target, V.d)
     if source.state not in V.states or target.state not in V.states:
@@ -269,43 +243,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"semiforge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
+    def add(name, handler, reader, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, reader=reader)
         p.add_argument("--output", help="write the JSON result to this file")
-        if name != "bound":
+        if reader:
             p.add_argument("input")
         return p
 
-    p = add("finiteness", cmd_finiteness, help="decide semigroup finiteness")
-    p.add_argument("--cap", type=int)
+    def capped(p):
+        p.add_argument("--cap", type=int)
+
+    p = add("finiteness", cmd_finiteness, "generators", help="decide semigroup finiteness")
+    capped(p)
     p.add_argument("--witnesses", action="store_true")
 
-    p = add("closure", cmd_finiteness, help="enumerate the semigroup with witness words")
-    p.add_argument("--cap", type=int)
+    capped(add("closure", cmd_finiteness, "generators",
+               help="enumerate the semigroup with witness words"))
 
-    p = add("shorten", cmd_shorten, help="rewrite a word as a short equal-value product")
+    p = add("shorten", cmd_shorten, "generators",
+            help="rewrite a word as a short equal-value product")
     p.add_argument("--word", required=True)
-    p.add_argument("--cap", type=int)
+    capped(p)
     p.add_argument("--assume-finite", action="store_true")
 
-    p = add("bound", cmd_bound, help="length/size bound calculators")
+    p = add("bound", cmd_bound, None, help="length/size bound calculators")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int)
 
-    p = add("integerize", cmd_integerize, help="conjugate a finite group into GL(n,Z)")
-    p.add_argument("--cap", type=int)
+    capped(add("integerize", cmd_integerize, "generators",
+               help="conjugate a finite group into GL(n,Z)"))
 
-    p = add("image-graph", cmd_image_graph, help="build the rank-r image graph")
+    p = add("image-graph", cmd_image_graph, "generators", help="build the rank-r image graph")
     p.add_argument("--dot", help="also write a GraphViz file")
 
-    p = add("wa-finite", cmd_wa_finite, help="decide weighted-automaton finiteness")
-    p.add_argument("--cap", type=int)
+    capped(add("wa-finite", cmd_wa_finite, "automaton",
+               help="decide weighted-automaton finiteness"))
+    capped(add("vass-fmp", cmd_vass_fmp, "vass", help="check the finite monoid property"))
 
-    p = add("vass-fmp", cmd_vass_fmp, help="check the finite monoid property")
-    p.add_argument("--cap", type=int)
-
-    p = add("vass-reach", cmd_vass_reach, help="bounded reachability exploration")
+    p = add("vass-reach", cmd_vass_reach, "vass", help="bounded reachability exploration")
     p.add_argument("--from", dest="source", required=True, metavar="STATE:V1,..,VD")
     p.add_argument("--to", dest="target", required=True, metavar="STATE:V1,..,VD")
     p.add_argument("--budget", type=int, required=True)
@@ -314,10 +290,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Resolve the cap, check --budget, load the input, run the handler."""
+    args = build_parser().parse_args(argv)
     try:
-        code, result = args.handler(args)
+        args.cap = _cap(args.cap) if "cap" in args else None
+        _at_least(getattr(args, "budget", None), "--budget", 0)
+        model = _load_json(args.input, args.reader) if args.reader else None
+        try:
+            code, result = args.handler(args, model)
+        except InfiniteSemigroup as exc:
+            code, result = _verdict(FinitenessResult("infinite", witness=exc.witness), None,
+                                    model.alphabet)
+        except CapExceeded:
+            code, result = _verdict(FinitenessResult("exceeded_cap"), args.cap, ())
         text = json.dumps(result, indent=2)
         if args.output:
             _write(args.output, text + "\n")

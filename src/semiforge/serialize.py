@@ -85,6 +85,24 @@ def matrix_from_json(obj, context: str = "matrix") -> Mat:
     return Mat(rows, cols=n)
 
 
+def _matrices(named: dict, letters, n: int, noun: str) -> dict:
+    """Letter -> n x n matrix, for each of `letters` in turn, read from the
+    JSON object `named`, which may name no other letter."""
+    mapping = {}
+    for a in letters:
+        what = f"{noun} {reprlib.repr(a)}"
+        if a not in named:
+            raise ParseError(f"missing {noun} matrix for letter {reprlib.repr(a)}")
+        m = matrix_from_json(named[a], context=what)
+        if m.rows != n:
+            raise ParseError(f"{what} is not {n}x{n}")
+        mapping[a] = m
+    for a in named:
+        if a not in mapping:
+            raise ParseError(f"{noun} {reprlib.repr(a)} is for a letter not in the alphabet")
+    return mapping
+
+
 def generators_from_json(obj) -> MorphismTable:
     if not isinstance(obj, dict) or "generators" not in obj or "n" not in obj:
         raise ParseError("generators file needs 'n' and 'generators'")
@@ -94,14 +112,7 @@ def generators_from_json(obj) -> MorphismTable:
     gens = obj["generators"]
     if not isinstance(gens, dict) or not gens:
         raise ParseError("'generators' must be a nonempty object")
-    mapping = {}
-    for name in gens:
-        _letter(name, "generator name")
-        what = f"generator {reprlib.repr(name)}"
-        m = matrix_from_json(gens[name], context=what)
-        if m.rows != n:
-            raise ParseError(f"{what} is not {n}x{n}")
-        mapping[name] = m
+    mapping = _matrices(gens, (_letter(a, "generator name") for a in gens), n, "generator")
     return MorphismTable(n, tuple(sorted(mapping)), mapping)
 
 
@@ -112,15 +123,7 @@ def automaton_from_json(obj) -> WeightedAutomaton:
     n = _typed(obj["n"], int, "'n'")
     alphabet = tuple(_letter(a, "letter") for a in _names(obj["alphabet"], "'alphabet'"))
     transitions = _typed(obj["transitions"], dict, "'transitions'")
-    mapping = {}
-    for a in alphabet:
-        if a not in transitions:
-            raise ParseError(f"missing transition matrix for letter {reprlib.repr(a)}")
-        what = f"transition {reprlib.repr(a)}"
-        m = matrix_from_json(transitions[a], context=what)
-        if m.rows != n:
-            raise ParseError(f"{what} is not {n}x{n}")
-        mapping[a] = m
+    mapping = _matrices(transitions, alphabet, n, "transition")
     alpha = tuple(frac_from_str(x) for x in _typed(obj["alpha"], list, "'alpha'"))
     eta = tuple(frac_from_str(x) for x in _typed(obj["eta"], list, "'eta'"))
     if len(alpha) != n or len(eta) != n:

@@ -367,11 +367,19 @@ class TestDocumentedExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "must be at least 1" in captured.err
 
-    @pytest.mark.parametrize("command", ["finiteness", "closure", "shorten", "integerize"])
+    @pytest.mark.parametrize("command", ["finiteness", "closure", "shorten", "integerize",
+                                         "wa-finite", "vass-fmp"])
     def test_cap_zero_is_exit_1(self, capsys, rot90_file, command):
         extra = ["--word", "a"] if command == "shorten" else []
         assert main([command, rot90_file, "--cap", "0", *extra]) == 1
         assert "--cap must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["finiteness", "wa-finite", "vass-fmp"])
+    def test_cap_is_checked_before_the_input_is_read(self, capsys, tmp_path, command):
+        missing = str(tmp_path / "missing.json")
+        assert main([command, missing, "--cap", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: --cap must be at least 1, got 0\n"
 
     def test_negative_budget_is_exit_1(self, capsys, tmp_path):
         path = tmp_path / "vass.json"
@@ -411,6 +419,10 @@ class TestUsageErrors:
         ["vass-reach", "v.json", "--from", "-q:0", "--to", "q:0", "--budget", "5"],
         [],
         ["bound", "--n", "1", "--no-such-flag"],
+        # only the six closure subcommands take --cap
+        ["image-graph", "g.json", "--cap", "5"],
+        ["vass-reach", "v.json", "--from", "q:0", "--to", "q:0", "--budget", "5", "--cap", "5"],
+        ["bound", "--n", "1", "--cap", "5"],
     ])
     def test_usage_error_is_exit_1(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -595,6 +607,9 @@ class TestCapEnvironment:
     @pytest.mark.parametrize("value, command, message", [
         ("abc", "finiteness", "SEMIFORGE_CAP must be an integer, got 'abc'"),
         ("0", "closure", "SEMIFORGE_CAP must be at least 1, got 0"),
+        ("-3", "integerize", "SEMIFORGE_CAP must be at least 1, got -3"),
+        ("1.5", "wa-finite", "SEMIFORGE_CAP must be an integer, got '1.5'"),
+        ("", "vass-fmp", "SEMIFORGE_CAP must be an integer, got ''"),
     ])
     def test_invalid_cap_is_exit_1(self, capsys, monkeypatch, rot90_file, value, command,
                                    message):
@@ -602,6 +617,13 @@ class TestCapEnvironment:
         assert main([command, rot90_file]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_invalid_cap_in_shorten_is_exit_1(self, capsys, monkeypatch, rot90_file):
+        monkeypatch.setenv("SEMIFORGE_CAP", "0")
+        assert main(["shorten", rot90_file, "--word", "a"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: SEMIFORGE_CAP must be at least 1, got 0\n"
 
     def test_valid_cap_is_reported(self, capsys, monkeypatch, rot90_file):
         monkeypatch.setenv("SEMIFORGE_CAP", "2")
@@ -652,6 +674,10 @@ class TestStrictShapes:
         ("wa-finite", {**_AUTOMATON, "alphabet": ["a", "a"]}, "alphabet letters must be distinct"),
         ("vass-fmp", {**_VASS, "transitions": [dict(_VASS["transitions"][0], b=[1, 2])]},
          "transition 0: offset is not length 1"),
+        # a transition for a letter outside the alphabet, even a malformed one
+        ("wa-finite", {**_AUTOMATON, "transitions": {"a": {"entries": [["1"]]},
+                                                     "b": {"entries": [["x"]]}}},
+         "transition 'b' is for a letter not in the alphabet"),
     ])
     def test_malformed_shape_is_a_parse_error(self, capsys, tmp_path, command, doc, message):
         path = tmp_path / "input.json"
