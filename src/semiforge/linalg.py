@@ -9,12 +9,24 @@ denominator, in lowest terms, so products and comparisons are integer
 work. Elimination is fraction-free (Bareiss 1968; the reduced form is
 the fraction-free Gauss-Jordan variant): every division is exact, and
 the rational result is formed once at the end.
+
+Every product of numerators, in `Mat.__mul__` and in the automaton and
+VASS loops, runs the kernel `_product(r, k, c)` for its shape. Up to
+_UNROLL_BUDGET = 256 scalar multiplications (square n <= 6, a row times
+an n x n matrix up to n = 16) the kernel is compiled once per process
+from source with every entry written out. Building one costs a fresh
+process 0.2-2 ms and pays for itself after 40-150 products of its shape;
+a 2 x 2 kernel takes 0.16 us where a loop of sum(map(mul, ...)) per entry
+takes 2.3 us (CPython 3.11 on a 2-vCPU Xeon). Larger shapes keep that
+loop: the source grows as r * k * c, and whether its compile pays off
+past the budget has not been measured end to end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import count
 from math import gcd, lcm
 from operator import mul
@@ -59,6 +71,42 @@ def _mat(rows: int, cols: int, num: tuple, den: int) -> "Mat":
     m.den = den
     m._hash = None
     return m
+
+
+# The most scalar multiplications (r * k * c) for which a product shape
+# gets compiled code: the benchmark's largest product (5 x 7 x 7 = 245, on
+# automata) rounded up. A written-out 60 x 60 product took 0.74 s and
+# 236 MB of peak RSS to compile (CPython 3.11, 2-vCPU Xeon).
+_UNROLL_BUDGET = 256
+
+
+@cache
+def _product(r: int, k: int, c: int):
+    """The kernel that multiplies an r x k by a k x c matrix, given and
+    returning row-major numerators; past the budget, or with a zero
+    dimension, the generic loop. The compiled source is built from integer
+    indices alone."""
+    if not k:
+        return lambda a, b: (0,) * (r * c)
+    if not r or not c or r * k * c > _UNROLL_BUDGET:
+        def product(a, b):
+            columns = [b[j::c] for j in range(c)]
+            return tuple([sum(map(mul, a[i:i + k], col))
+                          for i in range(0, len(a), k) for col in columns])
+        return product
+
+    def entry(i, j):
+        return "+".join(f"a{i * k + t}*b{t * c + j}" for t in range(k))
+
+    source = "\n    ".join([
+        "def product(a, b):",
+        "".join(f"a{x}," for x in range(r * k)) + " = a",
+        "".join(f"b{x}," for x in range(k * c)) + " = b",
+        "return (" + "".join(f"{entry(i, j)}," for i in range(r) for j in range(c)) + ")",
+    ])
+    namespace = {}
+    exec(compile(source, f"<product {r}x{k}x{c}>", "exec"), namespace)
+    return namespace["product"]
 
 
 class Mat:
@@ -144,13 +192,7 @@ class Mat:
             if k != other.rows:
                 raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
             c = other.cols
-            a, b = self.num, other.num
-            if k:
-                columns = [b[j::c] for j in range(c)]
-                num = tuple([sum(map(mul, a[i:i + k], col))
-                             for i in range(0, len(a), k) for col in columns])
-            else:
-                num = (0,) * (self.rows * c)
+            num = _product(self.rows, k, c)(self.num, other.num)
             return _mat(self.rows, c, num, self.den * other.den)
         return self._scaled(_frac(other))
 

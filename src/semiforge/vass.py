@@ -7,9 +7,9 @@ from __future__ import annotations
 import reprlib
 from collections import deque
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add
 
-from .linalg import Mat
+from .linalg import Mat, _product
 from .semigroup import DEFAULT_CAP, FinitenessResult, MorphismTable, decide_finiteness
 
 
@@ -53,12 +53,13 @@ class Configuration:
 
 
 def _by_source(V: AffineVass) -> dict[str, list]:
-    """Transitions by source state, in index order, as (index, matrix
-    rows, offset, target); the rows are None for a translation (A = I)."""
+    """Transitions by source state, in index order, as (index, numerators
+    of the matrix's transpose, offset, target); the numerators are None
+    for a translation (A = I)."""
     out = {s: [] for s in V.states}
     for i, t in enumerate(V.transitions):
-        rows = None if t.matrix == Mat.identity(V.d) else t.matrix.int_rows()
-        out[t.source].append((i, rows, t.offset, t.target))
+        at = None if t.matrix == Mat.identity(V.d) else t.matrix.transpose().num
+        out[t.source].append((i, at, t.offset, t.target))
     return out
 
 
@@ -71,17 +72,19 @@ def _checked(V: AffineVass, c: Configuration) -> tuple[str, tuple[int, ...]]:
     return c.state, v
 
 
-def _apply(rows, b: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    # column-vector update: w = A*v + b, on the numerators (A is integral)
-    if rows is None:
+def _apply(times, at, b: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    # column-vector update w = A*v + b, on the numerators (A is integral),
+    # as the row v*A^T by the 1 x d times d x d product kernel `times`
+    if at is None:
         return tuple(map(add, v, b))
-    return tuple([sum(map(mul, row, v), c) for row, c in zip(rows, b)])
+    return tuple(map(add, times(v, at), b))
 
 
 def step(V: AffineVass, c: Configuration) -> list[Configuration]:
     """The successors of c, in transition-index order."""
     state, v = _checked(V, c)
-    return [Configuration(t, _apply(rows, b, v)) for _, rows, b, t in _by_source(V)[state]]
+    times = _product(1, V.d, V.d)
+    return [Configuration(t, _apply(times, at, b, v)) for _, at, b, t in _by_source(V)[state]]
 
 
 def transition_matrices(V: AffineVass) -> MorphismTable:
@@ -117,7 +120,7 @@ def reach_bounded(V: AffineVass, source: Configuration, target: Configuration,
     start, goal = _checked(V, source), _checked(V, target)
     if start == goal:
         return ReachResult("reached", ())
-    index = _by_source(V)
+    index, times = _by_source(V), _product(1, V.d, V.d)
     # state -> {vector: (its predecessor, transition index)}
     parents = {state: {} for state in V.states}
     parents[start[0]][start[1]] = None
@@ -127,8 +130,8 @@ def reach_bounded(V: AffineVass, source: Configuration, target: Configuration,
     while queue and spent < budget:
         state, v = c = queue.popleft()
         spent += 1
-        for i, rows, b, nxt_state in index[state]:
-            w = _apply(rows, b, v)
+        for i, at, b, nxt_state in index[state]:
+            w = _apply(times, at, b, v)
             seen = parents[nxt_state]
             if w in seen:
                 continue

@@ -2,8 +2,9 @@
 restriction (the minimal-automaton construction), and the finiteness
 decision through the transition monoid of the minimized automaton.
 
-`evaluate` and `forward_space` share one kernel on ints: a row of
-numerators times a letter's numerator columns, sliced once per call.
+`evaluate` and `forward_space` step a row of numerators through a
+letter's numerators with linalg's product kernel for 1 x n times n x n,
+compiled once per n (up to n = 16) and a generic loop beyond.
 `evaluate` keeps the row's denominator and takes a gcd only after a
 letter whose denominator is not 1; `forward_space` needs only spans.
 """
@@ -13,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul
 
-from .linalg import Mat, Subspace, _frac, image, stack
+from .linalg import Mat, Subspace, _frac, _product, image, stack
 from .semigroup import DEFAULT_CAP, FinitenessResult, MorphismTable, decide_finiteness
 
 
@@ -46,39 +46,34 @@ class WeightedAutomaton:
         return self.table.alphabet
 
 
-def _times(row, columns: list) -> list[int]:
-    return [sum(map(mul, row, col)) for col in columns]
-
-
 def evaluate(A: WeightedAutomaton, word) -> Fraction:
-    mapping, letters = A.table.mapping, {}
+    mapping, times = A.table.mapping, _product(1, A.n, A.n)
     start, eta = Mat.row_vector(A.alpha), Mat.row_vector(A.eta)
     row, den = start.num, start.den
     for a in word:
-        if a not in letters:
-            if a not in mapping:
-                raise UnknownLetter(a)
-            letters[a] = mapping[a].transpose().int_rows(), mapping[a].den
-        columns, d = letters[a]
-        row = _times(row, columns)
-        if d != 1:
-            g = gcd(den * d, *row)
-            row, den = [x // g for x in row], den * d // g
-    return Fraction(sum(map(mul, row, eta.num)), den * eta.den)
+        if a not in mapping:
+            raise UnknownLetter(a)
+        M = mapping[a]
+        row = times(row, M.num)
+        if M.den != 1:
+            g = gcd(den * M.den, *row)
+            row, den = [x // g for x in row], den * M.den // g
+    return Fraction(_product(1, A.n, 1)(row, eta.num)[0], den * eta.den)
 
 
 def forward_space(A: WeightedAutomaton) -> Subspace:
     """span{alpha * M(w) : w over the alphabet}. Every insertion raises the
     dimension, so the basis is rebuilt (one rref) at most n times."""
-    letters = [A.table.mapping[a].transpose().int_rows() for a in A.alphabet]
+    letters = [A.table.mapping[a].num for a in A.alphabet]
+    times = _product(1, A.n, A.n)
     start = Mat.row_vector(A.alpha)
     space = image(start)
     frontier = [start.num] if space.dim else []
     while frontier:
         fresh = []
         for row in frontier:
-            for columns in letters:
-                u = _times(row, columns)
+            for num in letters:
+                u = times(row, num)
                 if not space.contains(u):
                     space = image(stack(space.basis, Mat.row_vector(u)))
                     fresh.append(u)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from semiforge import (Mat, Subspace, det, image, inverse,
                        kernel, minimal_polynomial, rank, rref,
                        DimensionMismatch, NotInvertible)
-from semiforge.linalg import LinAlgError, stack
+from semiforge.linalg import _UNROLL_BUDGET, LinAlgError, _product, stack
 from conftest import ROT90, mat, random_rational
 from oracles import oracle_minimal_polynomial
 
@@ -277,12 +278,60 @@ class TestAgainstFractionOracle:
     @given(st.tuples(dims, dims, dims).flatmap(
         lambda s: st.tuples(grids(s[0], s[1]), grids(s[1], s[2]), st.just(s))))
     def test_product(self, case):
-        a, b, (r, k, c) = case
+        self.assert_product(*case)
+
+    @staticmethod
+    def assert_product(a, b, shape):
+        r, k, c = shape
         p = Mat(a, cols=k) * Mat(b, cols=c)
         assert (p.rows, p.cols) == (r, c)
         assert p.data == as_tuples(oracle_mul(a, b, k, c))
         assert p == Mat(oracle_mul(a, b, k, c), cols=c)
         assert_lowest_terms(p)
+
+    # Shapes on both sides of the compiled kernels' budget (square 6^3 and
+    # 7^3, a 1 x n row times n x n at n = 16 and 17, a 256-term sum and a
+    # 257-term one), the benchmark's largest product, lopsided ones, and
+    # zero dimensions. With `big`, each matrix has entries with 30-digit
+    # numerators over one 20-digit denominator, like those of a rationally
+    # conjugated group.
+    @pytest.mark.parametrize("shape", [
+        (6, 6, 6), (7, 7, 7), (1, 16, 16), (1, 17, 17), (1, 256, 1), (1, 257, 1),
+        (5, 7, 7), (16, 16, 16), (17, 17, 17), (8, 1, 8), (40, 3, 40), (3, 40, 3),
+        (1, 5000, 1), (5000, 1, 1), (3, 0, 4), (0, 5, 3), (4, 5, 0), (0, 0, 0)],
+        ids=lambda shape: "x".join(map(str, shape)))
+    @pytest.mark.parametrize("big", [False, True], ids=["small", "big"])
+    def test_product_shapes(self, shape, big):
+        assert _UNROLL_BUDGET == 16 ** 2
+        r, k, c = shape
+        compiled = _product(r, k, c).__code__.co_filename.startswith("<product")
+        assert compiled == (0 < r * k * c <= _UNROLL_BUDGET)
+        rng = random.Random(f"{shape} {big}")
+
+        def grid(rows, cols):
+            if not big:
+                return [[random_rational(rng, 5, 6) for _ in range(cols)] for _ in range(rows)]
+            den = rng.randint(1, 10 ** 20)
+            return [[F(rng.randint(-10 ** 30, 10 ** 30), den) for _ in range(cols)]
+                    for _ in range(rows)]
+
+        self.assert_product(grid(r, k), grid(k, c), shape)
+
+    def test_large_product_builds_no_slow_kernel(self):
+        # the kernel is built past the cache, so the time includes making
+        # it whichever test multiplied 64 x 64 matrices first
+        rng = random.Random(64)
+        a, b = ([[rng.randint(-10 ** 6, 10 ** 6) for _ in range(64)] for _ in range(64)]
+                for _ in range(2))
+        A, B = Mat(a), Mat(b)
+        start = time.monotonic()
+        kernel = _product.__wrapped__(64, 64, 64)
+        num = kernel(A.num, B.num)
+        assert time.monotonic() - start < 0.5
+        assert not kernel.__code__.co_filename.startswith("<product")
+        p = A * B
+        assert p.num == num
+        assert p == Mat(oracle_mul(a, b, 64, 64))
 
     @given(st.tuples(dims, dims).flatmap(
         lambda s: st.tuples(grids(*s), grids(*s), st.just(s))),
