@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .linalg import DimensionMismatch, Mat
+from .linalg import DimensionMismatch, Mat, _mat, _product
 
 Word = tuple  # of letters, any hashable labels
 
@@ -59,14 +59,27 @@ class MorphismTable:
                 raise ValueError(f"matrix for {a!r} is not {self.n}x{self.n}")
 
     def evaluate(self, word) -> Mat:
+        """The product of the letters' matrices, folded on numerators: the
+        running denominator is multiplied and one gcd taken only after a
+        rational letter, and one Mat is built at the end."""
         letters = iter(word)
         first = next(letters, _END)
         if first is _END:
             return Mat.identity(self.n)
-        m = self.mapping[first]
+        mapping, n = self.mapping, self.n
+        times = _product(n, n, n)
+        m = mapping[first]
+        num, den = m.num, m.den
         for a in letters:
-            m = m * self.mapping[a]
-        return m
+            m = mapping[a]
+            num = times(num, m.num)
+            if m.den != 1:
+                den *= m.den
+                g = math.gcd(den, *num)
+                if g != 1:
+                    num = tuple([x // g for x in num])
+                    den //= g
+        return _mat(n, n, num, den)
 
 
 @dataclass

@@ -416,6 +416,14 @@ class TestEntries:
         with pytest.raises(TypeError):
             Mat.identity(2) * 0.5
 
+    def test_strings_are_entries_not_scalars(self):
+        m = Mat([[1, 2], [3, 4]])
+        for product in (lambda: m * "1/2", lambda: "3" * m, lambda: m * "x"):
+            with pytest.raises(TypeError):
+                product()
+        assert m * Fraction(1, 2) == Fraction(1, 2) * m == Mat([[Fraction(1, 2), 1], ["3/2", 2]])
+        assert m * 3 == 3 * m == Mat([[3, 6], [9, 12]])
+
     def test_ints_fractions_and_rational_strings(self):
         m = Mat([[1, F(1, 2), "-2/3"]])
         assert m.data == ((F(1), F(1, 2), F(-2, 3)),)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ from semiforge.linalg import det, inverse
 from semiforge.semigroup import DEFAULT_CAP, g_upper_bound, _bfs, _charpoly, _letters, _totient
 from conftest import (PROJ_X, PROJ_Y, ROT90, SHIFT_NILP, all_words, brute_closure,
                       companion, cyclotomic, mat, oracle_is_torsion,
-                      power_iteration_torsion, signed_perm_generators, table_from)
+                      power_iteration_torsion, random_invertible, random_rational,
+                      signed_perm_generators, table_from)
 from oracles import oracle_bfs
 
 F = Fraction
@@ -40,6 +42,66 @@ class TestAnyHashableLetter:
             u = shorten(table, word)
             assert table.evaluate(u) == table.evaluate(word) and len(u) <= len(word)
         assert shorten(table, (None,) * 3) == (None,)
+
+
+def _signed_permutation(rng, n):
+    perm = rng.sample(range(n), n)
+    return Mat([[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n)]
+                for i in range(n)], cols=n)
+
+
+class TestEvaluate:
+    """`evaluate` folds numerators through one product kernel and builds a
+    single Mat at the end; a plain Mat.__mul__ fold is its oracle."""
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_matches_a_mat_product_fold(self, n):
+        # at n = 7 a product takes 343 multiplications, past the compiled
+        # kernel's budget, so the generic loop runs
+        rng = random.Random(250 + n)
+        C = random_invertible(rng, n) if n else Mat.identity(0)
+        Ci = inverse(C)
+        mapping = {
+            None: Ci * _signed_permutation(rng, n) * C,
+            0: Mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)], cols=n),
+            Mat.identity(n): Mat([[random_rational(rng) for _ in range(n)] for _ in range(n)],
+                                 cols=n),
+            "p": _signed_permutation(rng, n),
+            "q": Ci * _signed_permutation(rng, n) * C,
+        }
+        table = MorphismTable(n, tuple(mapping), mapping)
+        for _ in range(60):
+            word = tuple(rng.choice(table.alphabet) for _ in range(rng.randint(0, 40)))
+            expected = Mat.identity(n)
+            for a in word:
+                expected = expected * mapping[a]
+            value = table.evaluate(word)
+            assert value == expected, word
+            assert value.den > 0 and math.gcd(value.den, *value.num) == 1
+
+    def test_the_last_step_brings_the_fold_to_lowest_terms(self):
+        # no gcd follows an integral letter: only the final Mat reduces 1/2 * 2
+        value = table_from({"h": [[F(1, 2)]], "t": [[2]]}).evaluate("ht")
+        assert (value.num, value.den) == ((1,), 1)
+
+    def test_a_long_rational_word_keeps_a_small_denominator(self):
+        """20000 letters over a rationally conjugated signed-permutation
+        group. The fold reduces after every rational letter; without that
+        the denominator would grow as d ** 20000."""
+        rng = random.Random(25)
+        C = random_invertible(rng, 4)
+        Ci = inverse(C)
+        gens = dict(zip("abc", signed_perm_generators(4)))
+        table = table_from({a: Ci * g * C for a, g in gens.items()})
+        assert not any(m.is_integral() for m in table.mapping.values())
+        word = [rng.choice("abc") for _ in range(20000)]
+        integral = Mat.identity(4)
+        for a in word:
+            integral = integral * gens[a]
+        start = time.perf_counter()
+        value = table.evaluate(word)
+        assert time.perf_counter() - start < 10
+        assert value == Ci * integral * C
 
 
 class TestClosure:
