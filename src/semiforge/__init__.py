@@ -15,8 +15,7 @@ from .exterior import trivial_intersection
 from .semigroup import (DEFAULT_CAP, ClosureResult, FinitenessResult, MorphismTable,
                         CapExceeded, InfiniteSemigroup, NotMember, decide_finiteness,
                         is_torsion, length_bound, shortest_word_for, size_bound)
-from .grouplat import (FiniteGroupClosure, NonInvertibleGenerator, group_closure, hnf,
-                       integerize)
+from .grouplat import NonInvertibleGenerator, group_closure, hnf, integerize
 from .imagegraph import (ImageGraph, MixedRankGenerators, NotSameSCC,
                          RankDropped, build_image_graph, scc_segment_decompose,
                          scc_shortest_path, to_dot)

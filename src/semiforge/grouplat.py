@@ -13,42 +13,34 @@ from typing import Iterable, Sequence
 
 from .linalg import Mat, det, inverse, rank, stack
 from .semigroup import (DEFAULT_CAP, CapExceeded, ClosureResult, InfiniteSemigroup, MorphismTable,
-                        _bfs, _letters)
+                        _bfs)
 
 
 class NonInvertibleGenerator(ValueError):
     pass
 
 
-class FiniteGroupClosure(ClosureResult):
-    """Closure of a finite matrix group (monoid convention: the identity
-    is always an element, with the empty witness)."""
-
-    @property
-    def order(self) -> int:
-        return len(self.witness)
-
-
-def group_closure(table: MorphismTable, cap: int = DEFAULT_CAP) -> FiniteGroupClosure:
+def group_closure(table: MorphismTable, cap: int = DEFAULT_CAP) -> ClosureResult:
     """Closure from the identity under right multiplication (`_bfs`'s
-    Froidure-Pin enumeration in monoid mode).
+    Froidure-Pin enumeration in monoid mode): a finite matrix group, whose
+    identity is always an element, with the empty witness.
 
     Raises InfiniteSemigroup on a non-torsion element or when the closure
     exceeds (2n)! elements (either certifies infinitude), and CapExceeded
     when it exceeds `cap` elements first.
     """
-    n, letters = table.n, _letters(table)
-    for a, m in letters:
-        if rank(m) != n:
+    n = table.n
+    for a in table.alphabet:
+        if rank(table.mapping[a]) != n:
             raise NonInvertibleGenerator(f"generator {reprlib.repr(a)} is singular")
     # not g_upper_bound(n), which refuses the n = 0 of the Shortener's rank-0 words
     bound = math.factorial(2 * n)
-    witness, status, word = _bfs(letters, min(cap, bound), identity=Mat.identity(n))
+    witness, status, word = _bfs(table, min(cap, bound), identity=Mat.identity(n))
     if status == "exceeded_cap" and cap < bound:
         raise CapExceeded(f"the group has more than {cap} elements")
     if status != "finite":
         raise InfiniteSemigroup(word)
-    return FiniteGroupClosure(n, witness)
+    return ClosureResult(n, witness)
 
 
 def _hnf_rows(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
@@ -95,7 +87,7 @@ def hnf(B: Mat) -> Mat:
     return Mat(_hnf_rows(B.int_rows(), B.cols), cols=B.cols)
 
 
-def integerize(G: FiniteGroupClosure) -> Mat:
+def integerize(G: ClosureResult) -> Mat:
     """A matrix C with C*M*inverse(C) integral of determinant +-1 for every
     M in G.
 
@@ -103,8 +95,9 @@ def integerize(G: FiniteGroupClosure) -> Mat:
     that contains Z^n and is mapped into itself by each generator (element
     with a one-letter witness), found as a fixpoint of B -> HNF(B, B*g, ...).
     Only generators are checked, as in a finite group g^-1 = g^(order - 1).
-    The fixpoint ends because G is a whole finite group: every
-    `ClosureResult` comes from a BFS that closed.
+    The fixpoint ends because G is finite: every `ClosureResult` comes
+    from a BFS that closed. A generator that still does not conjugate into
+    GL(n,Z) raises InfiniteSemigroup.
     """
     gens = [m for m, w in G.witness.items() if len(w) == 1]
     C, prev = Mat.identity(G.n), None

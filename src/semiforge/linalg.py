@@ -210,7 +210,9 @@ class Mat:
         return _mat(self.rows, self.cols, tuple(p * x for x in self.num),
                     self.den * s.denominator if p else 1)
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def __add__(self, other):
+        if not isinstance(other, Mat):
+            return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("matrix addition shape mismatch")
         da, db = self.den, other.den
@@ -220,7 +222,9 @@ class Mat:
             num = tuple(x * db + y * da for x, y in zip(self.num, other.num))
         return _mat(self.rows, self.cols, num, da * db if da != db else da)
 
-    def __sub__(self, other: "Mat") -> "Mat":
+    def __sub__(self, other):
+        if not isinstance(other, Mat):
+            return NotImplemented
         return self + (-1) * other
 
     def __eq__(self, other):

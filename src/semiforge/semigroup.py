@@ -85,13 +85,18 @@ class MorphismTable:
 @dataclass
 class ClosureResult:
     """The whole set M(Sigma+), in BFS order, with a shortest (lex-least
-    among those) witness word per element. Only a BFS that closed builds
+    among those) witness word per element; a group closure is the monoid,
+    with the identity under the empty word. Only a BFS that closed builds
     one."""
 
     n: int
     witness: dict[Mat, Word]
 
     def __len__(self) -> int:
+        return len(self.witness)
+
+    @property
+    def order(self) -> int:
         return len(self.witness)
 
     @property
@@ -102,10 +107,11 @@ class ClosureResult:
 DEFER = 8  # the BFS tests its k-th new element for torsion once it has DEFER * k
 
 
-def _bfs(letters, cap: int, identity: Mat | None = None):
-    """Closure by word length under right multiplication by `letters`
-    (label, matrix) pairs, keeping the first (so shortest, lex-least)
-    word that reaches each element, and stopping at a non-torsion one.
+def _bfs(table: MorphismTable, cap: int, identity: Mat | None = None):
+    """Closure of `table` by word length under right multiplication by its
+    letters, taken in `table.alphabet` order, keeping the first (so
+    shortest, lex-least) word that reaches each element, and stopping at a
+    non-torsion one.
 
     Without `identity` the closure is the semigroup: its first layer is
     the generators themselves. With it, the closure is the monoid, and
@@ -137,8 +143,8 @@ def _bfs(letters, cap: int, identity: Mat | None = None):
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    labels = [a for a, _ in letters]
-    gens = [g for _, g in letters]
+    labels = table.alphabet
+    gens = [table.mapping[a] for a in labels]
     k = len(gens)
     store: dict = {}  # matrix -> element number, until the words are spelled
     if identity is not None:
@@ -196,7 +202,7 @@ def _bfs(letters, cap: int, identity: Mat | None = None):
     return store, "finite", None
 
 
-def _spell(store: dict, mats: list, prefix: list, final: list, labels: list) -> list:
+def _spell(store: dict, mats: list, prefix: list, final: list, labels: tuple) -> list:
     """Write each element's word over its number in `store`, shortest
     first, and return the words by element number."""
     words = [()]
@@ -207,10 +213,6 @@ def _spell(store: dict, mats: list, prefix: list, final: list, labels: list) -> 
     if mats[0] is not None:
         store[mats[0]] = ()
     return words
-
-
-def _letters(table: MorphismTable) -> list:
-    return [(a, table.mapping[a]) for a in table.alphabet]
 
 
 def _totient(k: int) -> int:
@@ -356,7 +358,7 @@ def decide_finiteness(table: MorphismTable, cap: int = DEFAULT_CAP) -> Finitenes
     non-torsion element appears, by McNaughton-Zalcstein); the cap is a
     safety net that yields "exceeded_cap" without a verdict.
     """
-    witness, status, word = _bfs(_letters(table), cap)
+    witness, status, word = _bfs(table, cap)
     if status == "infinite":
         return FinitenessResult("infinite", witness=word)
     if status == "exceeded_cap":

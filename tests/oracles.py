@@ -295,9 +295,10 @@ def oracle_tarjan(vertices, neighbors):
     return components
 
 
-def oracle_bfs(letters, cap, identity=None):
+def oracle_bfs(table, cap, identity=None):
     """`semigroup._bfs` with the torsion test run on each element as it is
-    admitted, layer by layer; the same result contract."""
+    admitted, layer by layer, over the letters in `table.alphabet` order;
+    the same result contract."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     store = {}
@@ -308,7 +309,8 @@ def oracle_bfs(letters, cap, identity=None):
         fresh = []
         for m in frontier:
             w = () if m is None else store[m]
-            for a, g in letters:
+            for a in table.alphabet:
+                g = table.mapping[a]
                 p = g if m is None else m * g
                 if p in store:
                     continue

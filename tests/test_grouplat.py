@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from semiforge import (CapExceeded, InfiniteSemigroup, Mat, MorphismTable, NotMember,
-                       group_closure, hnf, integerize, inverse, shortest_word_for)
+from semiforge import (CapExceeded, ClosureResult, InfiniteSemigroup, Mat, MorphismTable,
+                       NotMember, group_closure, hnf, integerize, inverse, shortest_word_for)
 from semiforge.grouplat import NonInvertibleGenerator
 from semiforge.linalg import det
 from conftest import (PROJ_X, ROT90, mat, random_invertible, rotation_generator,
@@ -195,6 +195,12 @@ class TestIntegerize:
             for m in H.witness:
                 conj = C * m * Cinv
                 assert conj.is_integral() and abs(det(conj)) == 1
+
+
+    def test_a_generator_that_stays_non_unimodular_is_infinite(self):
+        # the lattice fixpoint stops at Z, where [[2]] has determinant 2
+        with pytest.raises(InfiniteSemigroup):
+            integerize(ClosureResult(1, {Mat([[2]]): ("a",)}))
 
 
 class TestIntegerizeAgainstOracle:

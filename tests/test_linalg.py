@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -423,6 +424,14 @@ class TestEntries:
                 product()
         assert m * Fraction(1, 2) == Fraction(1, 2) * m == Mat([[Fraction(1, 2), 1], ["3/2", 2]])
         assert m * 3 == 3 * m == Mat([[3, 6], [9, 12]])
+
+    def test_sums_with_a_non_matrix_are_type_errors(self):
+        m = Mat([[1, 2], [3, 4]])
+        for op, symbol in ((operator.add, r"\+"), (operator.sub, "-")):
+            for other in (1, "x", F(1, 2)):
+                with pytest.raises(TypeError, match=f"for {symbol}: 'Mat'"):
+                    op(m, other)
+        assert m + m == 2 * m and m - m == Mat.zeros(2, 2)
 
     def test_ints_fractions_and_rational_strings(self):
         m = Mat([[1, F(1, 2), "-2/3"]])

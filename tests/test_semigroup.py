@@ -12,8 +12,8 @@ from semiforge import (DimensionMismatch, Mat, MorphismTable, NotMember, decide_
                        size_bound)
 from semiforge import polys, semigroup
 from semiforge.linalg import det, inverse
-from semiforge.semigroup import DEFAULT_CAP, g_upper_bound, _bfs, _charpoly, _letters, _totient
-from conftest import (PROJ_X, PROJ_Y, ROT90, SHIFT_NILP, all_words, brute_closure,
+from semiforge.semigroup import DEFAULT_CAP, g_upper_bound, _bfs, _charpoly, _totient
+from conftest import (PROJ_X, PROJ_Y, REFLECT, ROT90, SHIFT_NILP, all_words, brute_closure,
                       companion, cyclotomic, mat, oracle_is_torsion,
                       power_iteration_torsion, random_invertible, random_rational,
                       signed_perm_generators, table_from)
@@ -372,7 +372,7 @@ def test_decide_finiteness_closure_matches_closure():
         if verdict.status != "finite":
             continue
         finite += 1
-        expected, _, _ = oracle_bfs(_letters(t), DEFAULT_CAP)
+        expected, _, _ = oracle_bfs(t, DEFAULT_CAP)
         assert list(verdict.closure.witness.items()) == list(expected.items())
         assert set(verdict.closure.witness) == brute_closure(mats)
     assert finite >= 30
@@ -394,12 +394,11 @@ def test_bfs_matches_the_eager_oracle(monoid):
                 return [rng.choice((0, 1, -1)) for _ in range(n)]
             return _mostly_monomial_row(rng, n)
 
-        letters = _letters(table_from([Mat([row() for _ in range(n)])
-                                       for _ in range(rng.randint(1, 3))]))
+        table = table_from([Mat([row() for _ in range(n)]) for _ in range(rng.randint(1, 3))])
         cap = rng.randint(1, 60)
         identity = Mat.identity(n) if monoid else None
-        store, status, word = _bfs(letters, cap, identity=identity)
-        expected, expected_status, expected_word = oracle_bfs(letters, cap, identity=identity)
+        store, status, word = _bfs(table, cap, identity=identity)
+        expected, expected_status, expected_word = oracle_bfs(table, cap, identity=identity)
         assert (status, word) == (expected_status, expected_word)
         got = list(store.items())
         assert got[:len(expected)] == list(expected.items())
@@ -410,12 +409,12 @@ def test_bfs_matches_the_eager_oracle(monoid):
     assert min(seen.values()) >= 10, seen
 
 
-def _matches_the_eager_oracle(letters, cap, identity):
+def _matches_the_eager_oracle(table, cap, identity):
     """`_bfs` against `oracle_bfs`: the same status and word, and the same
     store, of which the oracle's is only a prefix when it stops at an
     "infinite" witness. Returns the status."""
-    store, status, word = _bfs(letters, cap, identity=identity)
-    expected, expected_status, expected_word = oracle_bfs(letters, cap, identity=identity)
+    store, status, word = _bfs(table, cap, identity=identity)
+    expected, expected_status, expected_word = oracle_bfs(table, cap, identity=identity)
     assert (status, word) == (expected_status, expected_word)
     got = list(store.items())
     assert got[:len(expected)] == list(expected.items())
@@ -446,7 +445,8 @@ def test_bfs_matches_the_eager_oracle_with_special_letters(monoid):
         mats.insert(rng.randint(0, len(mats)), extra)
         cap = DEFAULT_CAP if rng.random() < 0.25 else rng.randint(1, rng.choice((12, 60)))
         identity = Mat.identity(n) if monoid else None
-        seen[special, _matches_the_eager_oracle(list(zip(labels, mats)), cap, identity)] += 1
+        table = MorphismTable(n, labels[:len(mats)], dict(zip(labels, mats)))
+        seen[special, _matches_the_eager_oracle(table, cap, identity)] += 1
     assert len(seen) == 9 and min(seen.values()) >= 5, seen
 
 
@@ -454,9 +454,22 @@ def test_bfs_matches_the_eager_oracle_with_special_letters(monoid):
 def test_bfs_matches_the_eager_oracle_on_signed_permutation_groups(n):
     """The hyperoctahedral groups, orders 2 to 3840; at n = 1 the cycle
     letter is the identity."""
-    letters = _letters(table_from(signed_perm_generators(n)))
+    table = table_from(signed_perm_generators(n))
     for identity in (None, Mat.identity(n)):
-        assert _matches_the_eager_oracle(letters, DEFAULT_CAP, identity) == "finite"
+        assert _matches_the_eager_oracle(table, DEFAULT_CAP, identity) == "finite"
+
+
+def test_closure_follows_the_alphabet_not_the_mapping_order():
+    """The golden inputs all list their letters sorted; here the alphabet
+    runs b, a while the mapping was built a first."""
+    table = MorphismTable(2, ("b", "a"), {"a": ROT90, "b": REFLECT})
+    closures = ((decide_finiteness(table).closure, None), (group_closure(table), Mat.identity(2)))
+    for closure, identity in closures:
+        expected, status, _ = oracle_bfs(table, DEFAULT_CAP, identity)
+        assert status == "finite" and len(closure) == 8
+        assert list(closure.witness.items()) == list(expected.items())
+        words = list(closure.witness.values())
+        assert words.index(("b",)) < words.index(("a",))
 
 
 def test_closure_multiplies_at_most_half_of_the_pairs(monkeypatch):
