@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Sequence
 
-from .linalg import Mat, det, inverse, rank, stack
+from .linalg import Mat, det, rank, stack
 from .semigroup import (DEFAULT_CAP, CapExceeded, ClosureResult, InfiniteSemigroup, MorphismTable,
                         _bfs)
 
@@ -89,23 +89,30 @@ def hnf(B: Mat) -> Mat:
 
 def integerize(G: ClosureResult) -> Mat:
     """A matrix C with C*M*inverse(C) integral of determinant +-1 for every
-    M in G.
+    M in G, a finite group.
 
     The rows of C are the HNF basis of the invariant lattice: the least one
     that contains Z^n and is mapped into itself by each generator (element
     with a one-letter witness), found as a fixpoint of B -> HNF(B, B*g, ...).
-    Only generators are checked, as in a finite group g^-1 = g^(order - 1).
-    The fixpoint ends because G is finite: every `ClosureResult` comes
-    from a BFS that closed. A generator that still does not conjugate into
-    GL(n,Z) raises InfiniteSemigroup.
+    A generator of determinant 0 raises NonInvertibleGenerator, and one
+    other than +-1 InfiniteSemigroup. At the fixpoint the rows of C*g lie
+    in the lattice, so C*g*inverse(C) is integral of determinant det(g),
+    and g^-1 = g^(order - 1) covers the rest of G. In a finite group each
+    lattice met lies in Z^n / lcm(denominators of G); a round that leaves
+    it raises InfiniteSemigroup, so the loop ends on any `ClosureResult`.
     """
-    gens = [m for m, w in G.witness.items() if len(w) == 1]
+    gens = {g: w for g, w in G.witness.items() if len(w) == 1}
+    for g, w in gens.items():
+        d = abs(det(g))
+        if not d:
+            raise NonInvertibleGenerator(f"generator {reprlib.repr(w[0])} is singular")
+        if d != 1:
+            raise InfiniteSemigroup(w)
+    bound = math.lcm(*(g.den for g in G.witness))
     C, prev = Mat.identity(G.n), None
     while C != prev:
         S = reduce(stack, (C * g for g in gens), C)
         prev, C = C, Fraction(1, S.den) * hnf(S.den * S)
-    Cinv = inverse(C)
-    for conj in (C * g * Cinv for g in gens):
-        if not conj.is_integral() or abs(det(conj)) != 1:
+        if bound % C.den:
             raise InfiniteSemigroup()
     return C

@@ -10,19 +10,18 @@ work. Elimination is fraction-free (Bareiss 1968; the reduced form is
 the fraction-free Gauss-Jordan variant): every division is exact, and
 the rational result is formed once at the end.
 
-Every product of numerators, in `Mat.__mul__`, in `MorphismTable.evaluate`
-and in the automaton and VASS loops, runs the kernel `_product(r, k, c)`
-for its shape. `evaluate` folds a word's numerators, multiplies its
-denominator and takes one gcd only after a letter whose denominator is
-not 1, and builds one Mat at the end. Up to _UNROLL_BUDGET = 256 scalar
-multiplications (square n <= 6, a row times an n x n matrix up to
-n = 16) the kernel is compiled once per process from source with every
-entry written out. Building one costs a fresh process 0.2-2 ms and pays
-for itself after 40-150 products of its shape; a 2 x 2 kernel takes
-0.16 us where a loop of sum(map(mul, ...)) per entry takes 2.3 us
-(CPython 3.11 on a 2-vCPU Xeon). Larger shapes keep that loop: the
-source grows as r * k * c, and whether its compile pays off past the
-budget has not been measured end to end.
+Three callers run the product kernel `_product(r, k, c)` for their
+shape: `Mat.__mul__`, the VASS steps and `MorphismTable.evaluate`, the
+one fold of a word's numerators (weighted automata evaluate through
+it), which takes a gcd only after a letter whose denominator is not 1.
+Up to _UNROLL_BUDGET = 256 scalar multiplications (square n <= 6, a row
+times an n x n matrix up to n = 16) the kernel is compiled once per
+process from source with every entry written out. Building one costs a
+fresh process 0.2-2 ms and pays for itself after 40-150 products of its
+shape; a 2 x 2 kernel takes 0.16 us where a loop of sum(map(mul, ...))
+per entry takes 2.3 us (CPython 3.11 on a 2-vCPU Xeon). Larger shapes
+keep that loop: the source grows as r * k * c, and whether its compile
+pays off past the budget has not been measured end to end.
 """
 
 from __future__ import annotations

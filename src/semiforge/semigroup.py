@@ -58,18 +58,21 @@ class MorphismTable:
             if m.rows != self.n or m.cols != self.n:
                 raise ValueError(f"matrix for {a!r} is not {self.n}x{self.n}")
 
-    def evaluate(self, word) -> Mat:
-        """The product of the letters' matrices, folded on numerators: the
-        running denominator is multiplied and one gcd taken only after a
-        rational letter, and one Mat is built at the end."""
-        letters = iter(word)
-        first = next(letters, _END)
-        if first is _END:
-            return Mat.identity(self.n)
+    def evaluate(self, word, start: Mat | None = None) -> Mat:
+        """`start` times the letters' product; without `start`, the product
+        (the identity for no letters). The package's one numerator fold: the
+        denominator grows, and one gcd is taken, only after a rational letter."""
         mapping, n = self.mapping, self.n
-        times = _product(n, n, n)
-        m = mapping[first]
-        num, den = m.num, m.den
+        letters = iter(word)
+        if start is None:
+            first = next(letters, _END)
+            if first is _END:
+                return Mat.identity(n)
+            start = mapping[first]
+        elif start.cols != n:
+            raise DimensionMismatch(f"a start of width {start.cols} for {n} x {n} letters")
+        rows, num, den = start.rows, start.num, start.den
+        times = _product(rows, n, n)
         for a in letters:
             m = mapping[a]
             num = times(num, m.num)
@@ -79,7 +82,7 @@ class MorphismTable:
                 if g != 1:
                     num = tuple([x // g for x in num])
                     den //= g
-        return _mat(n, n, num, den)
+        return _mat(rows, n, num, den)
 
 
 @dataclass

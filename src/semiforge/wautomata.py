@@ -2,20 +2,17 @@
 restriction (the minimal-automaton construction), and the finiteness
 decision through the transition monoid of the minimized automaton.
 
-`evaluate` and `forward_space` step a row of numerators through a
-letter's numerators with linalg's product kernel for 1 x n times n x n,
-compiled once per n (up to n = 16) and a generic loop beyond.
-`evaluate` keeps the row's denominator and takes a gcd only after a
-letter whose denominator is not 1; `forward_space` needs only spans.
+`evaluate` folds a word from alpha with `MorphismTable.evaluate`, the
+package's one numerator fold, and `forward_space` steps rows with
+`Mat.__mul__`; both run linalg's product kernel for 1 x n times n x n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .linalg import Mat, Subspace, _frac, _product, image, stack
+from .linalg import Mat, Subspace, _frac, image, stack
 from .semigroup import DEFAULT_CAP, FinitenessResult, MorphismTable, decide_finiteness
 
 
@@ -47,35 +44,28 @@ class WeightedAutomaton:
 
 
 def evaluate(A: WeightedAutomaton, word) -> Fraction:
-    mapping, times = A.table.mapping, _product(1, A.n, A.n)
-    start, eta = Mat.row_vector(A.alpha), Mat.row_vector(A.eta)
-    row, den = start.num, start.den
-    for a in word:
-        if a not in mapping:
-            raise UnknownLetter(a)
-        M = mapping[a]
-        row = times(row, M.num)
-        if M.den != 1:
-            g = gcd(den * M.den, *row)
-            row, den = [x // g for x in row], den * M.den // g
-    return Fraction(_product(1, A.n, 1)(row, eta.num)[0], den * eta.den)
+    try:
+        row = A.table.evaluate(word, Mat.row_vector(A.alpha))
+    except KeyError as unknown:
+        raise UnknownLetter(*unknown.args) from None
+    value = row * Mat.row_vector(A.eta).transpose()
+    return Fraction(value.num[0], value.den)
 
 
 def forward_space(A: WeightedAutomaton) -> Subspace:
     """span{alpha * M(w) : w over the alphabet}. Every insertion raises the
     dimension, so the basis is rebuilt (one rref) at most n times."""
-    letters = [A.table.mapping[a].num for a in A.alphabet]
-    times = _product(1, A.n, A.n)
+    letters = [A.table.mapping[a] for a in A.alphabet]
     start = Mat.row_vector(A.alpha)
     space = image(start)
-    frontier = [start.num] if space.dim else []
+    frontier = [start] if space.dim else []
     while frontier:
         fresh = []
         for row in frontier:
-            for num in letters:
-                u = times(row, num)
-                if not space.contains(u):
-                    space = image(stack(space.basis, Mat.row_vector(u)))
+            for M in letters:
+                u = row * M
+                if not space.contains(u.num):  # a span ignores the denominator
+                    space = image(stack(space.basis, u))
                     fresh.append(u)
         frontier = fresh
     return space

@@ -12,9 +12,10 @@
 - `oracle_reach_bounded`: the VASS breadth-first search as it was before
   it indexed the transitions by source state. Every dequeue scans all
   transitions and builds a `Configuration` per successor.
-- `oracle_forward_space`: the forward space of a weighted automaton as
-  it was before it moved to integer rows. It multiplies 1 x n `Mat` rows
-  by the letter matrices.
+- `oracle_forward_space`: the forward space of a weighted automaton by
+  whole layers rather than by a frontier of rows. It spans alpha, then
+  each round a basis and its images under every letter, until the span
+  stops growing.
 - `oracle_integerize`: the integerization as it was before it became a
   fixpoint over the generators. It takes one HNF per group element and
   conjugates every element to check it.
@@ -32,6 +33,7 @@
   its value a derived letter.
 """
 
+import functools
 import math
 from collections import deque
 from fractions import Fraction
@@ -208,22 +210,15 @@ def oracle_reach_bounded(V, source, target, budget):
 
 
 def oracle_forward_space(A):
-    """span{alpha * M(w) : w over the alphabet}, one `Mat` row product at
-    a time."""
+    """span{alpha * M(w) : w over the alphabet}, one layer of word
+    lengths per round: a round that adds nothing ends it."""
     mats = [A.table.mapping[a] for a in A.alphabet]
-    start = Mat.row_vector(A.alpha)
-    space = image(start)
-    frontier = [start] if space.dim else []
-    while frontier:
-        fresh = []
-        for v in frontier:
-            for m in mats:
-                u = v * m
-                if not space.contains(u.num):
-                    space = image(stack(space.basis, u))
-                    fresh.append(u)
-        frontier = fresh
-    return space
+    space = image(Mat.row_vector(A.alpha))
+    while True:
+        grown = image(functools.reduce(stack, (space.basis * m for m in mats), space.basis))
+        if grown == space:
+            return space
+        space = grown
 
 
 def oracle_integerize(G):

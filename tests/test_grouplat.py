@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import semiforge
 from semiforge import (CapExceeded, ClosureResult, InfiniteSemigroup, Mat, MorphismTable,
-                       NotMember, group_closure, hnf, integerize, inverse, shortest_word_for)
+                       NotMember, decide_finiteness, group_closure, hnf, integerize, inverse,
+                       shortest_word_for)
 from semiforge.grouplat import NonInvertibleGenerator
 from semiforge.linalg import det
 from conftest import (PROJ_X, ROT90, mat, random_invertible, rotation_generator,
@@ -201,6 +207,33 @@ class TestIntegerize:
         # the lattice fixpoint stops at Z, where [[2]] has determinant 2
         with pytest.raises(InfiniteSemigroup):
             integerize(ClosureResult(1, {Mat([[2]]): ("a",)}))
+
+    def test_a_non_unimodular_generator_is_named_by_its_word(self):
+        with pytest.raises(InfiniteSemigroup) as exc:
+            integerize(ClosureResult(2, {Mat.identity(2): (), mat([[1, 0], [0, 3]]): ("x",)}))
+        assert exc.value.witness == ("x",)
+
+    def test_a_singular_generator_is_named(self):
+        # a finite semigroup's closure, not a group's: its one letter is singular
+        with pytest.raises(NonInvertibleGenerator, match="'a'"):
+            integerize(decide_finiteness(table_from([PROJ_X])).closure)
+
+    def test_an_infinite_closure_ends(self):
+        """diag(2, 1/2) has determinant 1 and infinite order: each round of
+        the fixpoint halves a denominator, and only the bound on the
+        closure's denominators ends it. Run in a subprocess, so that a
+        fixpoint that never ends fails the test."""
+        code = ("from fractions import Fraction as F\n"
+                "from semiforge import ClosureResult, InfiniteSemigroup, Mat, integerize\n"
+                "G = ClosureResult(2, {Mat.identity(2): (), Mat([[2, 0], [0, F(1, 2)]]): ('a',)})\n"
+                "try:\n"
+                "    integerize(G)\n"
+                "except InfiniteSemigroup:\n"
+                "    print('infinite')\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(semiforge.__file__).parent.parent))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.stdout == "infinite\n", run.stderr
 
 
 class TestIntegerizeAgainstOracle:

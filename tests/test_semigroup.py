@@ -70,14 +70,28 @@ class TestEvaluate:
             "q": Ci * _signed_permutation(rng, n) * C,
         }
         table = MorphismTable(n, tuple(mapping), mapping)
+        # a start is a 1 x n row or an n x n matrix, and stands alone for no letters
+        starts = [Mat([[random_rational(rng) for _ in range(n)] for _ in range(rows)], cols=n)
+                  for rows in (1, n)]
+        for start in starts:
+            assert table.evaluate((), start) == start
         for _ in range(60):
             word = tuple(rng.choice(table.alphabet) for _ in range(rng.randint(0, 40)))
             expected = Mat.identity(n)
             for a in word:
                 expected = expected * mapping[a]
-            value = table.evaluate(word)
-            assert value == expected, word
-            assert value.den > 0 and math.gcd(value.den, *value.num) == 1
+            cases = [(table.evaluate(word), expected)]
+            cases += [(table.evaluate(word, start), start * expected) for start in starts]
+            for value, oracle in cases:
+                assert value == oracle, word
+                assert value.den > 0 and math.gcd(value.den, *value.num) == 1
+
+    def test_a_start_of_the_wrong_width_is_refused(self):
+        table = table_from([ROT90])
+        for start in (Mat.row_vector([1, 2, 3]), Mat.identity(3), Mat.zeros(2, 1)):
+            for word in ((), "a", "aaa"):
+                with pytest.raises(DimensionMismatch):
+                    table.evaluate(word, start)
 
     def test_the_last_step_brings_the_fold_to_lowest_terms(self):
         # no gcd follows an integral letter: only the final Mat reduces 1/2 * 2
