@@ -54,7 +54,10 @@ class Shortener:
     Image graphs with their SCC paths, the image and edge tests they are
     built from, group closures, cycle matrices with their inverses, and
     results are cached across calls, keyed by values: each invented letter
-    (a block product of the rank recursion, a cycle matrix) is its own matrix."""
+    (a block product of the rank recursion, a cycle matrix) is its own matrix.
+    `left` holds each product M(a) * m that the rank recursion takes (at
+    most |alphabet| * |S| of them on a finite semigroup S), and the
+    recursion reads each rank as the dimension of an image in `image_tests`."""
 
     def __init__(self, table: MorphismTable, assume_finite: bool = False,
                  cap: int = DEFAULT_CAP):
@@ -66,7 +69,7 @@ class Shortener:
             if verdict.status == "exceeded_cap":
                 raise CapExceeded(f"no finiteness verdict within cap {cap}")
         self.cap = cap
-        self.letter_rank = {a: rank(m) for a, m in table.mapping.items()}
+        self.left: dict[tuple[object, Mat], Mat] = {}
         self.graphs: dict = {}
         self.image_tests: dict = {}
         self.groups: dict = {}
@@ -78,6 +81,21 @@ class Shortener:
         if word not in self._memo:
             self._memo[word] = self._shorten(word)
         return self._memo[word]
+
+    def _left(self, a: object, m: Mat) -> Mat:
+        """M(a) * m, multiplied out once per Shortener."""
+        p = self.left.get((a, m))
+        if p is None:
+            p = self.left[a, m] = self.table.mapping[a] * m
+        return p
+
+    def _rank(self, m: Mat) -> int:
+        """rank m, from its image, which is computed once per Shortener and
+        shared with the image graphs."""
+        V = self.image_tests.get(m)
+        if V is None:
+            V = self.image_tests[m] = image(m)
+        return V.dim
 
     def _group_word(self, spelled: dict[Mat, Word], target: Mat) -> Word:
         """Shortest word for `target` over the invertible matrices in
@@ -156,8 +174,10 @@ class Shortener:
         table = self.table
         if not word:
             return ()
-        value = table.evaluate(word)
-        r = rank(value)
+        value = table.mapping[word[-1]]
+        for a in reversed(word[:-1]):
+            value = self._left(a, value)
+        r = self._rank(value)
         n = table.n
         if r == n:
             # every letter is invertible: the group route, each matrix spelled by its first letter
@@ -171,15 +191,15 @@ class Shortener:
             return word if len(word) < len(u) else u
 
         # one right-to-left pass cuts rank-r blocks (head letter + body of
-        # rank > r) and keeps their products; the rest has rank > r. A block
-        # ends at any letter of rank r: rank(M(a)*m) <= rank M(a) = r, and no
-        # subword of a rank-r word has rank below r
+        # rank > r) and keeps their products; the rest has rank > r. No
+        # subword of a rank-r word has rank below r, so a block ends where
+        # the product's rank reaches r (at the latest at a letter of rank r)
         blocks: list[tuple[int, int, Mat]] = []
         end, m = len(word), None
         for j in range(len(word) - 1, -1, -1):
             a = word[j]
-            m = table.mapping[a] if m is None else table.mapping[a] * m
-            if self.letter_rank[a] == r or rank(m) == r:
+            m = table.mapping[a] if m is None else self._left(a, m)
+            if self._rank(m) == r:
                 blocks.append((j, end, m))
                 end, m = j, None
 

@@ -335,6 +335,18 @@ def _cycle_tables(rng, count, n=5, r=3):
     return tables
 
 
+def _cycle_words(rng, table, count, walk_lengths, free_lengths):
+    """`count` times a walk around CYCLE_EDGES, then a free word over the
+    alphabet of `table`, with lengths drawn from the given ranges."""
+    for _ in range(count):
+        at, walk = rng.randrange(3), []
+        for _ in range(rng.randint(*walk_lengths)):
+            walk.append(rng.choice(LEAVING[at]))
+            at = CYCLE_EDGES[walk[-1]][1]
+        yield tuple(walk)
+        yield tuple(rng.choice(table.alphabet) for _ in range(rng.randint(*free_lengths)))
+
+
 def test_warm_shortener_matches_fresh_ones():
     """One warm `Shortener` per table against a fresh `shorten` and the
     restarting peel, on walks around the cycle and free words. Later words
@@ -344,24 +356,24 @@ def test_warm_shortener_matches_fresh_ones():
     words = graphs = 0
     for table in _cycle_tables(rng, 4):
         warm = Shortener(table)
-        for _ in range(8):
-            at, walk = rng.randrange(3), []
-            for _ in range(rng.randint(4, 14)):
-                walk.append(rng.choice(LEAVING[at]))
-                at = CYCLE_EDGES[walk[-1]][1]
-            free = tuple(rng.choice(table.alphabet) for _ in range(rng.randint(8, 20)))
-            for word in (tuple(walk), free):
-                u = warm.shorten(word)
-                assert u == shorten(table, word, assume_finite=True)
-                assert u == OracleShortener(table, assume_finite=True).shorten(word)
-                assert table.evaluate(u) == table.evaluate(word)
-                words += 1
+        for word in _cycle_words(rng, table, 8, (4, 14), (8, 20)):
+            u = warm.shorten(word)
+            assert u == shorten(table, word, assume_finite=True)
+            assert u == OracleShortener(table, assume_finite=True).shorten(word)
+            assert table.evaluate(u) == table.evaluate(word)
+            words += 1
         # every cached cycle matrix is the one its word alone gives: the
         # word's letters are matrices, and its image is the base space
         for w, (m, _) in warm.mprimes.items():
             letters = tuple(dict.fromkeys(w))
             sub = MorphismTable(table.n, letters, {x: x for x in letters})
             assert m == cycle_rep(sub, image(sub.evaluate(w)), w)
+        # every cached product and image is the one computed afresh
+        for (a, m), p in warm.left.items():
+            assert p == table.mapping[a] * m
+        for m, V in warm.image_tests.items():
+            if isinstance(m, Mat):
+                assert V == image(m)
         # every graph built on the shared image and edge tests is the one
         # its alphabet alone gives, in the same order
         graphs += len(warm.graphs)
@@ -371,6 +383,43 @@ def test_warm_shortener_matches_fresh_ones():
             assert [list(G.out[V].items()) for V in G.vertices] == \
                 [list(fresh.out[V].items()) for V in fresh.vertices]
     assert words >= 50 and graphs >= 20
+
+
+def test_no_matrix_is_ranked_twice(monkeypatch):
+    """One warm `Shortener` per table, on walks around the cycle and free
+    words: the input values and the block passes rank each matrix once,
+    whichever word or recursion level meets it again. Calls inside
+    `cycle_rep` are left out, since one matrix may have two cycle words."""
+    ranked, in_cycle_rep = [], []
+    real_cycle_rep = shortener_module.cycle_rep
+
+    def cycle_rep_(*args):
+        in_cycle_rep.append(True)
+        try:
+            return real_cycle_rep(*args)
+        finally:
+            in_cycle_rep.pop()
+
+    def recording(real):
+        def wrapper(m):
+            if not in_cycle_rep:
+                ranked.append(m)
+            return real(m)
+        return wrapper
+
+    monkeypatch.setattr(shortener_module, "cycle_rep", cycle_rep_)
+    for name in ("image", "rank"):
+        monkeypatch.setattr(shortener_module, name, recording(getattr(shortener_module, name)))
+    rng = random.Random(28)
+    total = 0
+    for table in _cycle_tables(rng, 3):
+        warm = Shortener(table, assume_finite=True)
+        for word in _cycle_words(rng, table, 6, (5, 15), (8, 22)):
+            assert table.evaluate(warm.shorten(word)) == table.evaluate(word)
+        assert len(set(ranked)) == len(ranked)
+        total += len(ranked)
+        ranked.clear()
+    assert total >= 100
 
 
 def test_repeated_cycles_are_not_recomputed(monkeypatch):
