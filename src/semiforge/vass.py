@@ -1,5 +1,10 @@
 """Affine integer VASS: configurations, step semantics, the finite monoid
 property check, and bounded-budget reachability exploration.
+
+A step runs in homogeneous coordinates: the update v -> A v + b is the
+linear map [[A, b], [0, 1]] on (v, 1), so every transition, a translation
+included, is one (d+1)-dimensional product of the row (v, 1) and the
+numerators of that map's transpose.
 """
 
 from __future__ import annotations
@@ -7,7 +12,6 @@ from __future__ import annotations
 import reprlib
 from collections import deque
 from dataclasses import dataclass
-from operator import add
 
 from .linalg import Mat, _product
 from .semigroup import DEFAULT_CAP, FinitenessResult, MorphismTable, decide_finiteness
@@ -52,39 +56,36 @@ class Configuration:
     vector: tuple[int, ...]
 
 
-def _by_source(V: AffineVass) -> dict[str, list]:
-    """Transitions by source state, in index order, as (index, numerators
-    of the matrix's transpose, offset, target); the numerators are None
-    for a translation (A = I)."""
-    out = {s: [] for s in V.states}
+def _by_source(V: AffineVass) -> tuple[dict[str, list], dict[str, dict]]:
+    """Transitions by source state, in index order, as (index, H, the
+    target's visited dict, target), with the visited dicts by state.
+
+    H is the row-major (d+1) x (d+1) numerator tuple [[A^T, 0], [b, 1]] (row r
+    of A^T is column r of A, num[r::d]), so the row (v, 1) steps to
+    (A v + b, 1) as _product(1, d + 1, d + 1)((v, 1), H).
+    """
+    d, out, seen = V.d, {s: [] for s in V.states}, {s: {} for s in V.states}
     for i, t in enumerate(V.transitions):
-        at = None if t.matrix == Mat.identity(V.d) else t.matrix.transpose().num
-        out[t.source].append((i, at, t.offset, t.target))
-    return out
+        H = sum((t.matrix.num[r::d] + (0,) for r in range(d)), ()) + t.offset + (1,)
+        out[t.source].append((i, H, seen[t.target], t.target))
+    return out, seen
 
 
 def _checked(V: AffineVass, c: Configuration) -> tuple[str, tuple[int, ...]]:
+    """(state, (vector..., 1)), or ValueError for a malformed configuration."""
     v = tuple(c.vector)
     if c.state not in V.states:
         raise ValueError(f"configuration state {reprlib.repr(c.state)} is not in the model")
     if len(v) != V.d or any(type(x) is not int for x in v):
         raise ValueError(f"configuration vector must be {V.d} integers: {reprlib.repr(c.vector)}")
-    return c.state, v
-
-
-def _apply(times, at, b: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    # column-vector update w = A*v + b, on the numerators (A is integral),
-    # as the row v*A^T by the 1 x d times d x d product kernel `times`
-    if at is None:
-        return tuple(map(add, v, b))
-    return tuple(map(add, times(v, at), b))
+    return c.state, v + (1,)
 
 
 def step(V: AffineVass, c: Configuration) -> list[Configuration]:
     """The successors of c, in transition-index order."""
     state, v = _checked(V, c)
-    times = _product(1, V.d, V.d)
-    return [Configuration(t, _apply(times, at, b, v)) for _, at, b, t in _by_source(V)[state]]
+    times = _product(1, V.d + 1, V.d + 1)
+    return [Configuration(t, times(v, H)[:-1]) for _, H, _, t in _by_source(V)[0][state]]
 
 
 def transition_matrices(V: AffineVass) -> MorphismTable:
@@ -120,9 +121,9 @@ def reach_bounded(V: AffineVass, source: Configuration, target: Configuration,
     start, goal = _checked(V, source), _checked(V, target)
     if start == goal:
         return ReachResult("reached", ())
-    index, times = _by_source(V), _product(1, V.d, V.d)
-    # state -> {vector: (its predecessor, transition index)}
-    parents = {state: {} for state in V.states}
+    index, parents = _by_source(V)
+    times = _product(1, V.d + 1, V.d + 1)
+    # parents: state -> {(vector..., 1): (its predecessor, transition index)}
     parents[start[0]][start[1]] = None
     goal_parents, goal_vector = parents[goal[0]], goal[1]
     queue = deque([start])
@@ -130,9 +131,8 @@ def reach_bounded(V: AffineVass, source: Configuration, target: Configuration,
     while queue and spent < budget:
         state, v = c = queue.popleft()
         spent += 1
-        for i, at, b, nxt_state in index[state]:
-            w = _apply(times, at, b, v)
-            seen = parents[nxt_state]
+        for i, H, seen, nxt_state in index[state]:
+            w = times(v, H)
             if w in seen:
                 continue
             seen[w] = (c, i)

@@ -1,10 +1,13 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
 
+import semiforge.vass
 from semiforge import (AffineVass, Configuration, Mat, Transition, check_fmp,
                        reach_bounded, step)
+from semiforge.linalg import _UNROLL_BUDGET
 from semiforge.vass import transition_matrices
 from conftest import mat
 from oracles import oracle_reach_bounded
@@ -132,11 +135,12 @@ class TestReach:
 
 # ------------------------------------------- differential against the oracle
 
-def random_vass(rng):
-    """1-3 states, d = 0..3, up to 5 transitions whose matrices are zero,
-    identity or small random integers. The last state has no incoming
-    transition when there are at least two states."""
-    d = rng.randint(0, 3)
+def random_vass(rng, d=None):
+    """1-3 states, d = 0..3 unless given, up to 5 transitions whose matrices
+    are zero, identity or small random integers. The last state has no
+    incoming transition when there are at least two states."""
+    if d is None:
+        d = rng.randint(0, 3)
     states = tuple(f"s{k}" for k in range(rng.randint(1, 3)))
     targets = states[:-1] if len(states) > 1 else states
     transitions = []
@@ -188,11 +192,56 @@ def test_reach_matches_the_scanning_loop():
     assert 200 < reached < 1000  # both answers are well represented
 
 
+@pytest.mark.parametrize("d", [0, 16])
+def test_both_kernel_paths_match_the_oracles(d):
+    # a step is the row (v, 1) times the (d+1) x (d+1) numerators H: at
+    # d = 16 that is 1 x 17 x 17 = 289 multiplications, past the unrolled
+    # kernel's budget, so the generic loop runs; at d = 0, H = (1,)
+    assert ((d + 1) ** 2 > _UNROLL_BUDGET) == (d == 16)
+    rng = random.Random(1729 + d)
+    reached = 0
+    for _ in range(40):
+        V = random_vass(rng, d)
+        source = Configuration(rng.choice(V.states),
+                               tuple(rng.randint(-2, 2) for _ in range(d)))
+        assert step(V, source) == [Configuration(t.target, oracle_apply(t, source.vector))
+                                   for t in V.transitions if t.source == source.state]
+        target = random_target(rng, V, source)
+        for budget in (0, 1, 7, 60):
+            got = reach_bounded(V, source, target, budget)
+            want = oracle_reach_bounded(V, source, target, budget)
+            assert (got.status, got.path) == (want.status, want.path), (V, source, target, budget)
+            reached += got.status == "reached"
+    assert 20 < reached < 150  # both answers are well represented
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2000])
+def test_unentered_target_spends_the_whole_budget(monkeypatch, budget):
+    # nothing enters z, so no configuration in z is reachable, and the
+    # search still spends every dequeue it is given: a shortcut would
+    # change which queries a budget answers
+    dequeued = []
+
+    class CountingDeque(deque):
+        def popleft(self):
+            dequeued.append(1)
+            return super().popleft()
+
+    monkeypatch.setattr(semiforge.vass, "deque", CountingDeque)
+    M = two_state_machine()
+    V = AffineVass(2, ("p", "q", "z"),
+                   M.transitions + (Transition("z", Mat.identity(2), (0, 0), "p"),))
+    result = reach_bounded(V, Configuration("p", (0, 0)), Configuration("z", (0, 0)), budget)
+    assert result.status == "not_within_budget"
+    assert len(dequeued) == budget
+
+
 # `oracle_apply` is the Fraction loop the successor rule ran before it
 # moved to integer dot products.
 
 def oracle_apply(t, v):
-    return tuple(int(sum(t.matrix.data[i][j] * v[j] for j in range(len(v)))) + t.offset[i]
+    rows = t.matrix.data  # rebuilt on each read, so read once
+    return tuple(int(sum(rows[i][j] * v[j] for j in range(len(v)))) + t.offset[i]
                  for i in range(len(v)))
 
 
@@ -200,7 +249,8 @@ def oracle_apply(t, v):
 def transitions_and_vectors(draw):
     d = draw(st.integers(0, 3))
     entries = st.lists(st.integers(-5, 5), min_size=d, max_size=d)
-    # one case in three is a translation, which `step` applies as v + b
+    # one case in three is a translation, which `step` runs like any other
+    # transition: the row (v, 1) times H = [[I, 0], [b, 1]]
     if draw(st.integers(0, 2)) == 0:
         A = Mat.identity(d)
     else:
