@@ -10,10 +10,12 @@ work. Elimination is fraction-free (Bareiss 1968; the reduced form is
 the fraction-free Gauss-Jordan variant): every division is exact, and
 the rational result is formed once at the end.
 
-Three callers run the product kernel `_product(r, k, c)` for their
-shape: `Mat.__mul__`, the VASS steps and `MorphismTable.evaluate`, the
-one fold of a word's numerators (weighted automata evaluate through
-it), which takes a gcd only after a letter whose denominator is not 1.
+Four callers run the product kernel `_product(r, k, c)` for their
+shape: `Mat.__mul__`, the VASS steps, a weighted automaton's forward
+space (numerator rows, whose scale a span ignores) and
+`MorphismTable.evaluate`, the one fold of a word's numerators (weighted
+automata evaluate through it), which takes a gcd only after a letter
+whose denominator is not 1.
 Up to _UNROLL_BUDGET = 256 scalar multiplications (square n <= 6, a row
 times an n x n matrix up to n = 16) the kernel is compiled once per
 process from source with every entry written out. Building one costs a

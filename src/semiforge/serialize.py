@@ -2,6 +2,9 @@
 weighted automata and VASS models) are read here; only matrices and
 words are written. Rationals travel as strings ("p/q" or an integer
 string, q positive) so no consumer ever rounds them.
+
+Each entry is parsed once, to an integer pair, and a matrix is built as
+numerators over the lcm of its denominators, with no `Fraction` made.
 """
 
 from __future__ import annotations
@@ -9,9 +12,9 @@ from __future__ import annotations
 import re
 import reprlib
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .linalg import Mat
+from .linalg import Mat, _mat
 from .semigroup import MorphismTable
 from .vass import AffineVass, Transition
 from .wautomata import WeightedAutomaton
@@ -45,19 +48,25 @@ def _letter(a: str, what: str) -> str:
     return a
 
 
-def frac_from_str(s) -> Fraction:
+def _rational(s) -> tuple[int, int]:
+    """(p, q) with q > 0 for a rational string "p/q" or "p", or a JSON
+    integer; not brought to lowest terms."""
     if type(s) is int:
-        return Fraction(s)
+        return s, 1
     if not isinstance(s, str):
         raise ParseError(f"expected a rational string, got {reprlib.repr(s)}")
     m = _FRACTION_RE.fullmatch(s)
     if not m:
         raise ParseError(f"malformed rational {reprlib.repr(s)}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    num, den = m.groups()
+    den = int(den) if den is not None else 1
     if den == 0:
         raise ParseError(f"zero denominator in {reprlib.repr(s)}")
-    return Fraction(num, den)
+    return int(num), den
+
+
+def frac_from_str(s) -> Fraction:
+    return Fraction(*_rational(s))
 
 
 def _entry_to_str(x: int, den: int) -> str:
@@ -75,14 +84,15 @@ def matrix_from_json(obj, context: str = "matrix") -> Mat:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ParseError(f"{context}: expected an object with 'entries'")
     try:
-        rows = [[frac_from_str(x) for x in _typed(row, list, "a row")]
+        rows = [[_rational(x) for x in _typed(row, list, "a row")]
                 for row in _typed(obj["entries"], list, "'entries'")]
         n = _typed(obj.get("n", len(rows)), int, "'n'")
     except ParseError as exc:
         raise ParseError(f"{context}: {exc}") from exc
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ParseError(f"{context}: expected a square {n}x{n} entry grid")
-    return Mat(rows, cols=n)
+    den = lcm(*(q for r in rows for _, q in r))
+    return _mat(n, n, tuple(p * (den // q) for r in rows for p, q in r), den)
 
 
 def _matrices(named: dict, letters, n: int, noun: str) -> dict:
@@ -121,6 +131,8 @@ def automaton_from_json(obj) -> WeightedAutomaton:
         if not isinstance(obj, dict) or field not in obj:
             raise ParseError(f"automaton file needs '{field}'")
     n = _typed(obj["n"], int, "'n'")
+    if n < 0:
+        raise ParseError(f"'n' must be at least 0, got {reprlib.repr(n)}")
     alphabet = tuple(_letter(a, "letter") for a in _names(obj["alphabet"], "'alphabet'"))
     transitions = _typed(obj["transitions"], dict, "'transitions'")
     mapping = _matrices(transitions, alphabet, n, "transition")

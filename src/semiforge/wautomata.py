@@ -3,16 +3,18 @@ restriction (the minimal-automaton construction), and the finiteness
 decision through the transition monoid of the minimized automaton.
 
 `evaluate` folds a word from alpha with `MorphismTable.evaluate`, the
-package's one numerator fold, and `forward_space` steps rows with
-`Mat.__mul__`; both run linalg's product kernel for 1 x n times n x n.
+package's one numerator fold. `forward_space` steps numerator rows with
+linalg's product kernel for 1 x n times n x n and grows an integer
+echelon basis in place; one `image` at the end gives its RREF basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .linalg import Mat, Subspace, _frac, image, stack
+from .linalg import Mat, Subspace, _frac, _mat, _product, image
 from .semigroup import DEFAULT_CAP, FinitenessResult, MorphismTable, decide_finiteness
 
 
@@ -52,23 +54,35 @@ def evaluate(A: WeightedAutomaton, word) -> Fraction:
     return Fraction(value.num[0], value.den)
 
 
+def _admit(rows: list, v) -> bool:
+    """Whether the integer row v lies outside the span of `rows`, a list of
+    (pivot, row) in which each row is zero at every earlier row's pivot.
+    v is reduced against them fraction-free, in that order; a nonzero
+    remainder, divided by its content, is appended to `rows`."""
+    for p, r in rows:
+        f = v[p]
+        if f:
+            q = r[p]
+            v = [q * x - f * y for x, y in zip(v, r)]
+    for p, x in enumerate(v):
+        if x:
+            g = gcd(*v)
+            rows.append((p, [y // g for y in v]))
+            return True
+    return False
+
+
 def forward_space(A: WeightedAutomaton) -> Subspace:
-    """span{alpha * M(w) : w over the alphabet}. Every insertion raises the
-    dimension, so the basis is rebuilt (one rref) at most n times."""
-    letters = [A.table.mapping[a] for a in A.alphabet]
-    start = Mat.row_vector(A.alpha)
-    space = image(start)
-    frontier = [start] if space.dim else []
-    while frontier:
-        fresh = []
-        for row in frontier:
-            for M in letters:
-                u = row * M
-                if not space.contains(u.num):  # a span ignores the denominator
-                    space = image(stack(space.basis, u))
-                    fresh.append(u)
-        frontier = fresh
-    return space
+    """span{alpha * M(w) : w over the alphabet}, breadth first. A span
+    ignores scale, so rows are stepped as numerators."""
+    step = _product(1, A.n, A.n)
+    letters = [A.table.mapping[a].num for a in A.alphabet]
+    rows = []
+    layer = [Mat.row_vector(A.alpha).num]
+    while layer:
+        fresh = [u for u in layer if _admit(rows, u)]
+        layer = [step(row, M) for row in fresh for M in letters]
+    return image(_mat(len(rows), A.n, tuple(x for _, r in rows for x in r), 1))
 
 
 def reverse(A: WeightedAutomaton) -> WeightedAutomaton:

@@ -678,6 +678,10 @@ class TestStrictShapes:
         ("wa-finite", {**_AUTOMATON, "transitions": {"a": {"entries": [["1"]]},
                                                      "b": {"entries": [["x"]]}}},
          "transition 'b' is for a letter not in the alphabet"),
+        # refused before any grid or vector is measured against it
+        ("wa-finite", {**_AUTOMATON, "n": -1}, "'n' must be at least 0, got -1"),
+        ("wa-finite", {**_AUTOMATON, "n": -1, "alphabet": [], "transitions": {}},
+         "'n' must be at least 0, got -1"),
     ])
     def test_malformed_shape_is_a_parse_error(self, capsys, tmp_path, command, doc, message):
         path = tmp_path / "input.json"

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -95,6 +97,71 @@ class TestAutomatonJson:
     def test_missing_fields(self):
         with pytest.raises(ParseError):
             automaton_from_json({"n": 1})
+
+
+# entries the readers must bring to lowest terms, or read at the size limit
+ODD_ENTRIES = ("6/4", "-6/4", "-0", "0", "0/7", "-0/3", "12/1", "3/9", 0, 5, -8,
+               "9" * 4300, "-" + "9" * 4300, "1/" + "7" * 4300,
+               "-" + "4" * 4300 + "/" + "6" * 4300)
+
+
+def random_entry(rng):
+    """A rational in one of the spellings a file may use, unreduced or not."""
+    if rng.random() < 0.15:
+        return rng.choice(ODD_ENTRIES)
+    p, q, k = rng.randint(-9, 9), rng.randint(1, 9), rng.randint(1, 4)
+    return rng.choice((p, str(p), f"{p * k}/{q * k}", f"{p}/{q}"))
+
+
+def random_grid(rng, n):
+    return [[random_entry(rng) for _ in range(n)] for _ in range(n)]
+
+
+def oracle_matrix(grid, n):
+    """The matrix of a grid, by way of frac_from_str's Fractions."""
+    return Mat([[frac_from_str(x) for x in row] for row in grid], cols=n)
+
+
+def in_lowest_terms(m):
+    return m.den > 0 and math.gcd(m.den, *m.num) == 1
+
+
+class TestReadersAgainstFractions:
+    def test_matrix(self):
+        rng = random.Random(4300)
+        for n in (0, 1, 2, 3, 4, 5):
+            for _ in range(15):
+                grid = random_grid(rng, n)
+                m = matrix_from_json({"n": n, "entries": grid})
+                assert m == oracle_matrix(grid, n) and in_lowest_terms(m)
+
+    def test_odd_entries_one_at_a_time(self):
+        for x in ODD_ENTRIES:
+            m = matrix_from_json({"entries": [[x, "1/2"], ["0", x]]})
+            assert m == oracle_matrix([[x, "1/2"], ["0", x]], 2) and in_lowest_terms(m)
+            assert matrix_from_json({"entries": [[x]]}).data == ((frac_from_str(x),),)
+
+    def test_generators(self):
+        rng = random.Random(12)
+        for n in (1, 2, 3, 4):
+            grids = {a: random_grid(rng, n) for a in "bca"}
+            table = generators_from_json(
+                {"n": n, "generators": {a: {"entries": g} for a, g in grids.items()}})
+            assert table.alphabet == ("a", "b", "c")
+            assert table.mapping == {a: oracle_matrix(g, n) for a, g in grids.items()}
+            assert all(in_lowest_terms(m) for m in table.mapping.values())
+
+    def test_automaton(self):
+        rng = random.Random(77)
+        for n in (0, 1, 2, 3, 5):
+            grids = {a: random_grid(rng, n) for a in "ab"}
+            alpha, eta = ([random_entry(rng) for _ in range(n)] for _ in range(2))
+            A = automaton_from_json({"n": n, "alphabet": ["a", "b"],
+                                     "transitions": {a: {"entries": g} for a, g in grids.items()},
+                                     "alpha": alpha, "eta": eta})
+            assert A.table.mapping == {a: oracle_matrix(g, n) for a, g in grids.items()}
+            assert A.alpha == tuple(map(frac_from_str, alpha))
+            assert A.eta == tuple(map(frac_from_str, eta))
 
 
 class TestVassJson:

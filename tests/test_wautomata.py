@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import semiforge.wautomata
 from semiforge import (Mat, MorphismTable, UnknownLetter, WeightedAutomaton,
                        decide_wa_finiteness, evaluate, forward_space, inverse, minimize)
+from semiforge.linalg import image
 from semiforge.wautomata import reverse
 from conftest import (ROT90, all_words, mat, random_invertible, random_rational,
                       signed_partial_perm, table_from)
@@ -174,6 +176,75 @@ class TestAgainstFractionLoop:
     def test_forward_space(self, A):
         assert forward_space(A) == oracle_forward_space(A)
         assert forward_space(reverse(A)) == oracle_forward_space(reverse(A))
+
+
+def workload_shaped(rng, n):
+    """An automaton on n states shaped like the benchmark's: k states carry
+    the word function, r states are never reached from alpha, and r more
+    are reached but lead only among themselves, where eta is zero; all in
+    a random rational basis, so minimization must find both kinds."""
+    r = rng.randint(0, n // 3)
+    k = n - 2 * r
+    U, D = range(k, k + r), range(k + r, n)
+
+    def small():  # zero half the time, so that spaces grow over several rounds
+        return F(rng.choice((0, 0, 0, 1, -1, 2)))
+
+    mats = {}
+    for a in "ab":
+        m = [[F(0)] * n for _ in range(n)]
+        for i in range(k):
+            for j in (*range(k), *D):
+                m[i][j] = small()
+        for i in U:
+            m[i] = [small() for _ in range(n)]
+        for i in D:
+            for j in D:
+                m[i][j] = small()
+        mats[a] = Mat(m, cols=n)
+    alpha = [random_rational(rng) for _ in range(k)] + [F(0)] * (2 * r)
+    eta = ([random_rational(rng) for _ in range(k)] + [random_rational(rng) for _ in U]
+           + [F(0)] * r)
+    C = random_invertible(rng, n, 2, 3)
+    Cinv = inverse(C)
+    return automaton({a: Cinv * m * C for a, m in mats.items()},
+                     (Mat.row_vector(alpha) * C).data[0],
+                     (Mat.row_vector(eta) * Cinv.transpose()).data[0]), r
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_forward_space_on_workload_shaped_automata(n):
+    rng = random.Random(1200 + n)
+    dims = set()
+    for _ in range(3):
+        A, r = workload_shaped(rng, n)
+        Fsp = forward_space(A)
+        assert Fsp == oracle_forward_space(A)
+        assert Fsp.dim <= n - r  # the r unreached states stay out
+        assert forward_space(reverse(A)) == oracle_forward_space(reverse(A))
+        dims.add(Fsp.dim)
+    assert max(dims) > 0
+
+
+def test_forward_space_runs_one_elimination(monkeypatch):
+    # the echelon basis grows in place: the only elimination is the final
+    # rref of the kept rows, and each kept row raised the dimension
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return image(M)
+
+    monkeypatch.setattr(semiforge.wautomata, "image", counted)
+    rng = random.Random(31)
+    empty = WeightedAutomaton(MorphismTable(0, ("a",), {"a": Mat((), cols=0)}), (), ())
+    examples = [empty] + [workload_shaped(rng, n)[0] for n in (3, 5, 8) for _ in range(3)]
+    dims = []
+    for B in examples + [reverse(A) for A in examples]:
+        calls.clear()
+        dims.append(forward_space(B).dim)
+        assert len(calls) == 1 and calls[0].rows == dims[-1]
+    assert max(dims) > 1
 
 
 def conjugated_signed_perms(rng, n):
