@@ -119,8 +119,8 @@ class Mat:
     `num` holds the row-major integer numerators and `den` their common
     positive denominator, with gcd(den, *num) == 1 (so den == 1 exactly
     for integral matrices). `data` is the same matrix as rows of
-    Fractions, rebuilt on each read: it is for output, tests and a minimized
-    automaton's Fraction vectors; nothing in the package computes on it.
+    Fractions, rebuilt on each read: it is for output and tests; nothing
+    in the package computes on it.
 
     Zero-row and zero-column matrices are allowed; pass `cols` explicitly
     when there are no rows.
@@ -351,14 +351,16 @@ class Subspace:
 
     def coordinates(self, M: Mat) -> Mat:
         """The matrix C with C * basis == M: the coordinates of the rows of M
-        in the RREF basis. Raises LinAlgError if a row of M is outside."""
-        C = _pivot_read(self, M)
-        if C is None:
+        in the unit-pivot RREF basis, which are M's pivot columns. Raises
+        LinAlgError if a row of M is outside."""
+        n = self.ambient_dim
+        if M.cols != n:
+            raise DimensionMismatch("vector has wrong length")
+        C = _mat(M.rows, self.dim,
+                 tuple(M.num[i * n + p] for i in range(M.rows) for p in self.pivots), M.den)
+        if C * self.basis != M:
             raise LinAlgError("vector not in subspace")
         return C
-
-    def contains(self, v: Sequence) -> bool:
-        return _pivot_read(self, Mat.row_vector(v)) is not None
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -372,18 +374,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of Q^{self.ambient_dim})"
-
-
-def _pivot_read(space: Subspace, M: Mat) -> Mat | None:
-    """The pivot columns of M, which are the coordinates of its rows if they
-    lie in `space` (its RREF basis has unit pivots, zeros around them);
-    None when one product shows that some row does not."""
-    n = space.ambient_dim
-    if M.cols != n:
-        raise DimensionMismatch("vector has wrong length")
-    C = _mat(M.rows, space.dim,
-             tuple(M.num[i * n + p] for i in range(M.rows) for p in space.pivots), M.den)
-    return C if C * space.basis == M else None
 
 
 def image(A: Mat) -> Subspace:

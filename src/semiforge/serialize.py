@@ -3,15 +3,14 @@ weighted automata and VASS models) are read here; only matrices and
 words are written. Rationals travel as strings ("p/q" or an integer
 string, q positive) so no consumer ever rounds them.
 
-Each entry is parsed once, to an integer pair, and a matrix is built as
-numerators over the lcm of its denominators, with no `Fraction` made.
+Each entry is parsed once, to an integer pair; matrices and automaton rows
+are numerators over the lcm of their denominators, with no `Fraction` made.
 """
 
 from __future__ import annotations
 
 import re
 import reprlib
-from fractions import Fraction
 from math import gcd, lcm
 
 from .linalg import Mat, _mat
@@ -65,10 +64,6 @@ def _rational(s) -> tuple[int, int]:
     return int(num), den
 
 
-def frac_from_str(s) -> Fraction:
-    return Fraction(*_rational(s))
-
-
 def _entry_to_str(x: int, den: int) -> str:
     """x/den in lowest terms: "p/q", or "p" when q is 1."""
     g = gcd(x, den)
@@ -91,8 +86,13 @@ def matrix_from_json(obj, context: str = "matrix") -> Mat:
         raise ParseError(f"{context}: {exc}") from exc
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ParseError(f"{context}: expected a square {n}x{n} entry grid")
-    den = lcm(*(q for r in rows for _, q in r))
-    return _mat(n, n, tuple(p * (den // q) for r in rows for p, q in r), den)
+    return _over_lcm(n, n, [pq for r in rows for pq in r])
+
+
+def _over_lcm(rows: int, cols: int, pairs: list) -> Mat:
+    """The rows x cols matrix of row-major (p, q) pairs, over the lcm of the q."""
+    den = lcm(*(q for _, q in pairs))
+    return _mat(rows, cols, tuple(p * (den // q) for p, q in pairs), den)
 
 
 def _matrices(named: dict, letters, n: int, noun: str) -> dict:
@@ -136,12 +136,13 @@ def automaton_from_json(obj) -> WeightedAutomaton:
     alphabet = tuple(_letter(a, "letter") for a in _names(obj["alphabet"], "'alphabet'"))
     transitions = _typed(obj["transitions"], dict, "'transitions'")
     mapping = _matrices(transitions, alphabet, n, "transition")
-    alpha = tuple(frac_from_str(x) for x in _typed(obj["alpha"], list, "'alpha'"))
-    eta = tuple(frac_from_str(x) for x in _typed(obj["eta"], list, "'eta'"))
+    alpha = [_rational(x) for x in _typed(obj["alpha"], list, "'alpha'")]
+    eta = [_rational(x) for x in _typed(obj["eta"], list, "'eta'")]
     if len(alpha) != n or len(eta) != n:
         raise ParseError("alpha and eta must have n entries")
     try:
-        return WeightedAutomaton(MorphismTable(n, alphabet, mapping), alpha, eta)
+        return WeightedAutomaton(MorphismTable(n, alphabet, mapping),
+                                 _over_lcm(1, n, alpha), _over_lcm(1, n, eta))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

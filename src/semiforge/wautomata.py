@@ -2,10 +2,11 @@
 restriction (the minimal-automaton construction), and the finiteness
 decision through the transition monoid of the minimized automaton.
 
-`evaluate` folds a word from alpha with `MorphismTable.evaluate`, the
-package's one numerator fold. `forward_space` steps numerator rows with
-linalg's product kernel for 1 x n times n x n and grows an integer
-echelon basis in place; one `image` at the end gives its RREF basis.
+alpha and eta are 1 x n `Mat` rows. `evaluate` folds a word from alpha
+with `MorphismTable.evaluate`, the package's one numerator fold, and
+returns a `Fraction`. `forward_space` steps numerator rows with linalg's
+product kernel for 1 x n times n x n and grows an integer echelon basis
+in place; one `image` at the end gives its RREF basis.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .linalg import Mat, Subspace, _frac, _mat, _product, image
+from .linalg import Mat, Subspace, _mat, _product, image
 from .semigroup import DEFAULT_CAP, FinitenessResult, MorphismTable, decide_finiteness
 
 
@@ -24,17 +25,18 @@ class UnknownLetter(KeyError):
 
 @dataclass
 class WeightedAutomaton:
-    """States are coordinates; the value of a word is alpha * M(w) * eta^T."""
+    """States are coordinates; the value of a word is alpha * M(w) * eta^T.
+    A `Mat` row is kept as given; any other rationals become a row."""
 
     table: MorphismTable
-    alpha: tuple[Fraction, ...]
-    eta: tuple[Fraction, ...]
+    alpha: Mat
+    eta: Mat
 
     def __post_init__(self):
-        self.alpha = tuple(_frac(x) for x in self.alpha)
-        self.eta = tuple(_frac(x) for x in self.eta)
-        if len(self.alpha) != self.table.n or len(self.eta) != self.table.n:
+        rows = [v if isinstance(v, Mat) else Mat.row_vector(v) for v in (self.alpha, self.eta)]
+        if any(v.rows != 1 or v.cols != self.table.n for v in rows):
             raise ValueError("state vectors must have one entry per state")
+        self.alpha, self.eta = rows
 
     @property
     def n(self) -> int:
@@ -47,10 +49,10 @@ class WeightedAutomaton:
 
 def evaluate(A: WeightedAutomaton, word) -> Fraction:
     try:
-        row = A.table.evaluate(word, Mat.row_vector(A.alpha))
+        row = A.table.evaluate(word, A.alpha)
     except KeyError as unknown:
         raise UnknownLetter(*unknown.args) from None
-    value = row * Mat.row_vector(A.eta).transpose()
+    value = row * A.eta.transpose()
     return Fraction(value.num[0], value.den)
 
 
@@ -78,7 +80,7 @@ def forward_space(A: WeightedAutomaton) -> Subspace:
     step = _product(1, A.n, A.n)
     letters = [A.table.mapping[a].num for a in A.alphabet]
     rows = []
-    layer = [Mat.row_vector(A.alpha).num]
+    layer = [A.alpha.num]
     while layer:
         fresh = [u for u in layer if _admit(rows, u)]
         layer = [step(row, M) for row in fresh for M in letters]
@@ -94,12 +96,10 @@ def reverse(A: WeightedAutomaton) -> WeightedAutomaton:
 def _forward_restrict(A: WeightedAutomaton) -> WeightedAutomaton:
     F = forward_space(A)
     basis = F.basis
-    alpha = F.coordinates(Mat.row_vector(A.alpha))
     # rows of basis * M(a) stay inside the forward space
     mapping = {a: F.coordinates(basis * A.table.mapping[a]) for a in A.alphabet}
-    eta = Mat.row_vector(A.eta) * basis.transpose()
     return WeightedAutomaton(MorphismTable(F.dim, A.alphabet, mapping),
-                             alpha.data[0], eta.data[0])
+                             F.coordinates(A.alpha), A.eta * basis.transpose())
 
 
 def minimize(A: WeightedAutomaton) -> WeightedAutomaton:

@@ -213,7 +213,7 @@ def oracle_forward_space(A):
     """span{alpha * M(w) : w over the alphabet}, one layer of word
     lengths per round: a round that adds nothing ends it."""
     mats = [A.table.mapping[a] for a in A.alphabet]
-    space = image(Mat.row_vector(A.alpha))
+    space = image(A.alpha)
     while True:
         grown = image(functools.reduce(stack, (space.basis * m for m in mats), space.basis))
         if grown == space:

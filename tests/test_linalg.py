@@ -114,8 +114,9 @@ class TestSubspace:
 
     def test_contains(self):
         w = Subspace.from_rows(3, [[1, 0, 1]])
-        assert w.contains([2, 0, 2])
-        assert not w.contains([1, 0, 0])
+        assert w.coordinates(Mat.row_vector([2, 0, 2])) == Mat.row_vector([2])
+        with pytest.raises(LinAlgError):
+            w.coordinates(Mat.row_vector([1, 0, 0]))
 
     def test_coords_roundtrip(self):
         w = Subspace.from_rows(3, [[1, 0, 2], [0, 1, 3]])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semiforge import Mat, WeightedAutomaton
-from semiforge.serialize import (ParseError, automaton_from_json, frac_from_str,
+from semiforge.serialize import (ParseError, _rational, automaton_from_json,
                                  generators_from_json, matrix_from_json, matrix_to_json,
                                  parse_word, vass_from_json, word_to_str)
 from conftest import ROT90, mat, table_from
@@ -15,6 +15,11 @@ from test_vass import two_state_machine
 
 F = Fraction
 ROT90_JSON = {"n": 2, "entries": [["0", "-1"], ["1", "0"]]}
+
+
+def frac_from_str(s):
+    """The Fraction of a rational string or JSON integer, as the readers parse it."""
+    return Fraction(*_rational(s))
 
 
 def two_state_document():
@@ -160,8 +165,8 @@ class TestReadersAgainstFractions:
                                      "transitions": {a: {"entries": g} for a, g in grids.items()},
                                      "alpha": alpha, "eta": eta})
             assert A.table.mapping == {a: oracle_matrix(g, n) for a, g in grids.items()}
-            assert A.alpha == tuple(map(frac_from_str, alpha))
-            assert A.eta == tuple(map(frac_from_str, eta))
+            assert A.alpha == Mat.row_vector(map(frac_from_str, alpha))
+            assert A.eta == Mat.row_vector(map(frac_from_str, eta))
 
 
 class TestVassJson:

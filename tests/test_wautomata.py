@@ -9,6 +9,7 @@ import semiforge.wautomata
 from semiforge import (Mat, MorphismTable, UnknownLetter, WeightedAutomaton,
                        decide_wa_finiteness, evaluate, forward_space, inverse, minimize)
 from semiforge.linalg import image
+from semiforge.serialize import automaton_from_json, matrix_to_json
 from semiforge.wautomata import reverse
 from conftest import (ROT90, all_words, mat, random_invertible, random_rational,
                       signed_partial_perm, table_from)
@@ -41,6 +42,23 @@ class TestEvaluate:
         for alpha, eta in (((1,), (0, 1)), ((1, 0), (0, 1, 0))):
             with pytest.raises(ValueError, match="one entry per state"):
                 automaton({"a": Mat.identity(2)}, alpha, eta)
+        # a 1 x n Mat is kept as given; a tuple of the same entries gives an equal automaton
+        row = Mat.row_vector((F(1, 2), 3))
+        A = automaton({"a": Mat.identity(2)}, row, (0, 1))
+        assert A.alpha is row and A == automaton({"a": Mat.identity(2)}, (F(1, 2), 3), (0, 1))
+        for bad in (row.transpose(), Mat.identity(2), Mat.row_vector((1, 0, 0))):
+            for alpha, eta in ((bad, row), (row, bad)):
+                with pytest.raises(ValueError, match="one entry per state"):
+                    automaton({"a": Mat.identity(2)}, alpha, eta)
+        with pytest.raises(TypeError):
+            automaton({"a": Mat.identity(2)}, (0.5, 1), (0, 1))
+        # the reader gives rows in lowest terms, and 1 x 0 rows at n = 0
+        read = automaton_from_json({"n": 1, "alphabet": ["a"], "alpha": ["2/4"], "eta": [1],
+                                    "transitions": {"a": {"entries": [["1"]]}}})
+        assert read.alpha == Mat.row_vector((F(1, 2),)) and read.alpha.den == 2
+        empty = automaton_from_json({"n": 0, "alphabet": ["a"], "alpha": [], "eta": [],
+                                     "transitions": {"a": {"entries": []}}})
+        assert {(v.rows, v.cols) for v in (empty.alpha, empty.eta)} == {(1, 0)}
 
 
 class TestSpaces:
@@ -126,7 +144,7 @@ class TestFiniteness:
 
 def oracle_rows(A, word):
     """alpha * M(u) for each prefix u of the word, shortest first."""
-    v = list(A.alpha)
+    v = list(A.alpha.data[0])
     yield v
     for a in word:
         m = A.table.mapping[a].data
@@ -136,7 +154,7 @@ def oracle_rows(A, word):
 
 def oracle_evaluate(A, word):
     *_, v = oracle_rows(A, word)
-    return sum(x * y for x, y in zip(v, A.eta)) if A.n else Fraction(0)
+    return sum(x * y for x, y in zip(v, A.eta.data[0])) if A.n else Fraction(0)
 
 
 # zero half the time, so that spaces grow over several rounds
@@ -208,8 +226,7 @@ def workload_shaped(rng, n):
     C = random_invertible(rng, n, 2, 3)
     Cinv = inverse(C)
     return automaton({a: Cinv * m * C for a, m in mats.items()},
-                     (Mat.row_vector(alpha) * C).data[0],
-                     (Mat.row_vector(eta) * Cinv.transpose()).data[0]), r
+                     Mat.row_vector(alpha) * C, Mat.row_vector(eta) * Cinv.transpose()), r
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -270,7 +287,36 @@ def test_evaluate_long_words_over_rational_letters():
         assert any(later < earlier for earlier, later in zip(dens, dens[1:]))
         for k in range(0, 301, 30):
             assert evaluate(A, word[:k]) == oracle_evaluate(A, word[:k])
-        assert evaluate(A, ()) == sum(x * y for x, y in zip(A.alpha, A.eta))
+        assert evaluate(A, ()) == sum(x * y for x, y in zip(A.alpha.data[0], A.eta.data[0]))
         with pytest.raises(UnknownLetter) as caught:
             evaluate(A, word[:150] + ("z",) + word[150:])
         assert caught.value.args == ("z",)
+
+
+def automaton_json(A):
+    """The automaton file of A."""
+    def row(v):
+        return matrix_to_json(v)["entries"][0]
+    return {"n": A.n, "alphabet": list(A.alphabet), "alpha": row(A.alpha), "eta": row(A.eta),
+            "transitions": {a: matrix_to_json(A.table.mapping[a]) for a in A.alphabet}}
+
+
+def test_no_fraction_on_the_automaton_path(monkeypatch):
+    # Mat.data is where a Mat makes Fractions: with it raising, the reader,
+    # evaluate, minimize and the verdict must all work on numerators
+    rng = random.Random(19)
+    examples = [counting_automaton(),
+                automaton(conjugated_signed_perms(rng, 3), (1, F(1, 2), 0), (F(-2, 3), 1, 1)),
+                WeightedAutomaton(MorphismTable(0, ("a", "b"), {a: Mat((), cols=0) for a in "ab"}),
+                                  (), ())]
+    examples += [workload_shaped(rng, n)[0] for n in (2, 4, 6, 8)]
+    documents = [automaton_json(A) for A in examples]
+    word = tuple(rng.choice("ab") for _ in range(40))
+    with monkeypatch.context() as patched:
+        patched.setattr(Mat, "data", property(lambda self: pytest.fail("Mat.data was read")))
+        read = [automaton_from_json(doc) for doc in documents]
+        values = [(evaluate(A, word), evaluate(minimize(A), word)) for A in read]
+        verdicts = [decide_wa_finiteness(A).status for A in read]
+    assert read == examples
+    assert values == [(oracle_evaluate(A, word),) * 2 for A in examples]
+    assert verdicts[:3] == ["infinite", "finite", "finite"]
