@@ -208,8 +208,7 @@ class Mat:
 
     def _scaled(self, s: int | Fraction) -> "Mat":
         p = s.numerator
-        return _mat(self.rows, self.cols, tuple(p * x for x in self.num),
-                    self.den * s.denominator if p else 1)
+        return _mat(self.rows, self.cols, tuple(p * x for x in self.num), self.den * s.denominator)
 
     def __add__(self, other):
         if not isinstance(other, Mat):
@@ -217,11 +216,8 @@ class Mat:
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("matrix addition shape mismatch")
         da, db = self.den, other.den
-        if da == db:
-            num = tuple(x + y for x, y in zip(self.num, other.num))
-        else:
-            num = tuple(x * db + y * da for x, y in zip(self.num, other.num))
-        return _mat(self.rows, self.cols, num, da * db if da != db else da)
+        num = tuple(x * db + y * da for x, y in zip(self.num, other.num))
+        return _mat(self.rows, self.cols, num, da * db)
 
     def __sub__(self, other):
         if not isinstance(other, Mat):
@@ -282,10 +278,7 @@ def _eliminate(m: list[list[int]], ncols: int, reduced: bool) -> tuple[int, list
             row = m[i]
             f = row[c]
             if f:
-                if d == 1:
-                    m[i] = [p * x - f * y for x, y in zip(row, prow)]
-                else:
-                    m[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+                m[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
             elif p != d and any(row):
                 m[i] = [p * x // d for x in row]
         d = p
@@ -363,13 +356,11 @@ class Subspace:
         return C
 
     def __eq__(self, other):
-        return (isinstance(other, Subspace)
-                and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+        return isinstance(other, Subspace) and self.basis == other.basis
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ambient_dim, self.basis))
+            self._hash = hash(self.basis)
         return self._hash
 
     def __repr__(self):

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from semiforge import Mat, MorphismTable, minimal_polynomial, rank
 from semiforge.linalg import stack
-from semiforge.semigroup import _totient
 from semiforge import polys
 
 F = Fraction
@@ -81,6 +80,11 @@ def power_iteration_torsion(A, budget=300):
     return False
 
 
+def oracle_totient(k):
+    """Euler's phi by its definition: the count of 1 <= i <= k coprime to k."""
+    return sum(math.gcd(i, k) == 1 for i in range(1, k + 1))
+
+
 def oracle_is_torsion(A):
     """Torsion via the minimal polynomial mu = x^a * q over Q: torsion iff
     q is squarefree and divides x^L - 1, with L the lcm of every order k
@@ -96,7 +100,7 @@ def oracle_is_torsion(A):
         return True
     if polys.degree(polys.gcd(q, polys.derivative(q))) > 0:
         return False
-    L = math.lcm(*(k for k in range(1, 2 * d * d + 1) if _totient(k) <= d))
+    L = math.lcm(*(k for k in range(1, 2 * d * d + 1) if oracle_totient(k) <= d))
     return polys.pow_x_mod(L, q) == polys.ONE
 
 

@@ -111,6 +111,11 @@ class TestSubspace:
         a = Subspace.from_rows(3, [[1, 1, 0], [0, 0, 1]])
         b = Subspace.from_rows(3, [[2, 2, 2], [0, 0, 5], [1, 1, 1]])
         assert a == b and hash(a) == hash(b)
+        # the basis carries the ambient dimension: equal ranks in different spaces differ
+        assert Subspace.zero(2) != Subspace.zero(3)
+        assert Subspace.full(2) != Subspace.from_rows(3, [[1, 0, 0], [0, 1, 0]])
+        c = Subspace.from_rows(3, [[0, 0, 3], [F(1, 2), F(1, 2), 0]])
+        assert c == a and hash(c) == hash(a)
 
     def test_contains(self):
         w = Subspace.from_rows(3, [[1, 0, 1]])
@@ -338,6 +343,12 @@ class TestAgainstFractionOracle:
     @given(st.tuples(dims, dims).flatmap(
         lambda s: st.tuples(grids(*s), grids(*s), st.just(s))),
         st.fractions(min_value=-4, max_value=4, max_denominator=5))
+    # a zero scalar, int or Fraction, times a rational matrix gives 0 over 1
+    @example(([[F(1, 2), F(-2, 3)]], [[F(1, 3), 0]], (1, 2)), 0)
+    @example(([[F(1, 2), F(-2, 3)]], [[F(1, 3), 0]], (1, 2)), F(0))
+    # summands over one denominator: a pair that cancels, a sum in lower terms
+    @example(([[F(1, 6), F(1, 3)]], [[F(-1, 6), F(1, 6)]], (1, 2)), F(1, 2))
+    @example(([[F(1, 4), F(-3, 4)]], [[F(-1, 4), F(3, 4)]], (1, 2)), F(1, 2))
     def test_sum_scalar_transpose(self, case, s):
         a, b, (r, c) = case
         A, B = Mat(a, cols=c), Mat(b, cols=c)

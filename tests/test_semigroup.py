@@ -14,7 +14,7 @@ from semiforge import polys, semigroup
 from semiforge.linalg import det, inverse
 from semiforge.semigroup import DEFAULT_CAP, g_upper_bound, _bfs, _charpoly, _totient
 from conftest import (PROJ_X, PROJ_Y, REFLECT, ROT90, SHIFT_NILP, all_words, brute_closure,
-                      companion, cyclotomic, mat, oracle_is_torsion,
+                      companion, cyclotomic, mat, oracle_is_torsion, oracle_totient,
                       power_iteration_torsion, random_invertible, random_rational,
                       signed_perm_generators, table_from)
 from oracles import oracle_bfs
@@ -174,6 +174,7 @@ def test_morphism_table_checks_letters_and_sizes():
 class TestTotient:
     def test_small_values(self):
         assert [_totient(k) for k in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+        assert [_totient(k) for k in range(1, 1001)] == [oracle_totient(k) for k in range(1, 1001)]
 
 
 class TestTorsion:
