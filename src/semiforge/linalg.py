@@ -28,6 +28,8 @@ pays off past the budget has not been measured end to end.
 
 from __future__ import annotations
 
+import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -49,11 +51,17 @@ class NotInvertible(LinAlgError):
     pass
 
 
+# a rational string, "p/q" or "p", in ASCII digits with nothing around it;
+# at most 4300 digits each, Python's default int <-> str limit
+_FRACTION_RE = re.compile(r"(-?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
+
+
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        raise TypeError(f"float entry {x!r}: pass an int, a Fraction or a rational string")
+    """An entry: an int that is not a bool, a Fraction or a rational string."""
+    if not isinstance(x, (int, Fraction, str)) or isinstance(x, bool):
+        raise TypeError(f"entry {reprlib.repr(x)}: pass an int, a Fraction or a rational string")
+    if isinstance(x, str) and not _FRACTION_RE.fullmatch(x):
+        raise ValueError(f"malformed rational {reprlib.repr(x)}")
     return Fraction(x)
 
 
@@ -201,8 +209,8 @@ class Mat:
         return self.__rmul__(other)
 
     def __rmul__(self, other):
-        # a scalar is an int or a Fraction: a string or a float is refused
-        if isinstance(other, (int, Fraction)):
+        # a scalar is an int or a Fraction: a string, a float or a bool is refused
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self._scaled(other)
         return NotImplemented
 

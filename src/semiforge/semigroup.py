@@ -299,11 +299,12 @@ def is_torsion(A: Mat) -> bool:
 
     1. chi_A, whose x^(n-k) coefficient is that of chi_N over den^k, has
        integer coefficients;
-    2. p divides out into cyclotomic factors Phi_k, phi(k) <= deg p; the
-       distinct ones multiply to rad(p);
-    3. when p is squarefree, x^b * rad(p) is chi_A, which vanishes at A by
-       Cayley-Hamilton; otherwise one Horner chain per distinct factor
-       gives Phi(A), and A^b * rad(p)(A) is their product times A^b.
+    2. p divides out into cyclotomic factors Phi_k, phi(k) <= deg p, each
+       as often as it divides, leaving no factor of positive degree;
+    3. if no k repeats, chi_A = x^b * rad(p) vanishes at A (Cayley-
+       Hamilton); otherwise the test is the definition, A^b = A^(b+L) with
+       L the lcm of the k, which a torsion A passes: its minimal
+       polynomial divides x^b * rad(p), a divisor of x^b * (x^L - 1).
     """
     if not A.is_square():
         raise DimensionMismatch("torsion test needs a square matrix")
@@ -319,32 +320,20 @@ def is_torsion(A: Mat) -> bool:
     while p[-1] == 0:  # chi_A = x^b * p
         p.pop()
     b = n + 1 - len(p)
-    factors = []
-    squarefree = True
+    orders = []
     for k in _orders(len(p) - 1):
-        phi = _cyclotomic(k)
-        q = _divide(p, phi)
-        if q is None:
-            continue
-        factors.append(phi)
-        while q is not None:
+        while (q := _divide(p, _cyclotomic(k))) is not None:
+            orders.append(k)
             p = q
-            q = _divide(p, phi)
-            squarefree = squarefree and q is None
-        if len(p) == 1:
-            break
-    if len(p) > 1:
+    if len(p) > 1:  # a root that is not a root of unity
         return False
-    if squarefree:
+    if len(set(orders)) == len(orders):
         return True
-    I = Mat.identity(n)
-    chains = []
-    for phi in factors:
-        H = A + phi[1] * I  # phi is monic
-        for c in phi[2:]:
-            H = H * A + c * I
-        chains.append(H)
-    return functools.reduce(mul, chains + [A] * b).is_zero()
+    power = A  # A^L by repeated squaring, from the top bit of L
+    for bit in bin(math.lcm(*orders))[3:]:
+        power = power * power * A if bit == "1" else power * power
+    return (functools.reduce(mul, [A] * b, power)
+            == functools.reduce(mul, [A] * b, Mat.identity(n)))
 
 
 @dataclass

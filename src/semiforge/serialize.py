@@ -9,11 +9,10 @@ are numerators over the lcm of their denominators, with no `Fraction` made.
 
 from __future__ import annotations
 
-import re
 import reprlib
 from math import gcd, lcm
 
-from .linalg import Mat, _mat
+from .linalg import _FRACTION_RE, Mat, _mat
 from .semigroup import MorphismTable
 from .vass import AffineVass, Transition
 from .wautomata import WeightedAutomaton
@@ -21,10 +20,6 @@ from .wautomata import WeightedAutomaton
 
 class ParseError(ValueError):
     pass
-
-
-# at most 4300 digits each, Python's default int <-> str limit
-_FRACTION_RE = re.compile(r"(-?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
 
 
 _KINDS = {int: "integer", list: "list", dict: "object", str: "string"}

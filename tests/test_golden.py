@@ -5,8 +5,11 @@ compares stdout byte for byte with tests/golden/expected/<case>.json,
 so any change in verdicts, witness words, element order or rational
 formatting shows up here. The GraphViz file of `image-graph --dot` is
 compared the same way with tests/golden/expected/image_graph.dot.
-The cases run once more in one `python -O` process, where the library's
-self-check asserts are compiled away, so no output may depend on them.
+The cases and the --dot file are made twice more, each time all in one
+fresh process: under PYTHONHASHSEED=0 with asserts on, and under
+PYTHONHASHSEED=12345 in `python -O`, where the library's self-check
+asserts are compiled away. No output may depend on asserts or on string
+hashing.
 """
 
 import json
@@ -64,32 +67,36 @@ def test_output_is_byte_identical(case, capsys):
     assert capsys.readouterr().out == expected
 
 
-# every case in one process: {case: [exit code, stdout]} as JSON
+# every case in one process: [sys.flags.optimize, {case: [exit code, stdout]}] as JSON
 _RUN_ALL = """
 import contextlib, io, json, sys
 from semiforge.cli import main
-if not sys.flags.optimize:
-    sys.exit("asserts are on")
 results = {}
 for case, argv in json.loads(sys.argv[1]).items():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     results[case] = [code, out.getvalue()]
-print(json.dumps(results))
+print(json.dumps([sys.flags.optimize, results]))
 """
 
 
-def test_outputs_do_not_depend_on_asserts():
-    env = dict(os.environ, PYTHONPATH=str(Path(semiforge.__file__).parent.parent))
-    argvs = json.dumps({case: _argv(case) for case in CASES})
-    run = subprocess.run([sys.executable, "-O", "-c", _RUN_ALL, argvs], env=env,
-                         capture_output=True, text=True, timeout=600)
-    assert run.returncode == 0, run.stderr
-    results = json.loads(run.stdout)
-    for case, (code, _) in CASES.items():
-        expected = (GOLDEN / "expected" / f"{case}.json").read_text()
-        assert results[case] == [code, expected], case
+def test_outputs_do_not_depend_on_asserts(tmp_path):
+    src = str(Path(semiforge.__file__).parent.parent)
+    dot = tmp_path / "image_graph.dot"
+    argvs = {case: _argv(case) for case in CASES}
+    argvs["dot"] = [*_argv("image_graph"), "--dot", str(dot)]
+    expected = {case: [code, (GOLDEN / "expected" / f"{case}.json").read_text()]
+                for case, (code, _) in CASES.items()}
+    expected["dot"] = expected["image_graph"]
+    for seed, flags in (("0", []), ("12345", ["-O"])):
+        dot.unlink(missing_ok=True)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, *flags, "-c", _RUN_ALL, json.dumps(argvs)],
+                             env=env, capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == [len(flags), expected], f"PYTHONHASHSEED={seed}"
+        assert dot.read_bytes() == (GOLDEN / "expected" / "image_graph.dot").read_bytes()
 
 
 def test_dot_file_is_byte_identical(tmp_path, capsys):

@@ -449,3 +449,17 @@ class TestEntries:
         m = Mat([[1, F(1, 2), "-2/3"]])
         assert m.data == ((F(1), F(1, 2), F(-2, 3)),)
         assert (m.den, m.num) == (6, (6, 3, -4))
+
+    def test_strings_follow_the_file_grammar(self):
+        # the readers' grammar: ASCII digits, an optional '-' and '/q', nothing around
+        assert Mat([["-0", "6/4", "007", "-4/6"]]) == Mat([[0, F(3, 2), 7, F(-2, 3)]])
+        for bad in (" 1", "1 ", "1.5", "1e3", "1_000", "\u0661", "+1", "1/-2", "", "1/"):
+            with pytest.raises(ValueError, match="malformed rational"):
+                Mat([[1, bad]])
+
+    def test_bools_are_neither_entries_nor_scalars(self):
+        m = Mat([[1, 2], [3, 4]])
+        for refused in (lambda: Mat([[True]]), lambda: Mat([[1, False]]),
+                        lambda: True * m, lambda: m * False):
+            with pytest.raises(TypeError):
+                refused()

@@ -192,10 +192,16 @@ class TestTorsion:
         assert not is_torsion(mat([[2]]))
         assert not is_torsion(mat([[F(1, 2), 0], [0, 1]]))
 
-    def test_non_cyclotomic_companions_are_not_torsion(self):
+    def test_non_cyclotomic_companions_are_not_torsion(self, monkeypatch):
         # x^2 - x - 1 (golden ratio) and x^2 - 2
         assert not is_torsion(companion((F(-1), F(-1), F(1))))
         assert not is_torsion(companion((F(-2), F(0), F(1))))
+        # Phi_4 repeats beside the golden ratio's block: the residue left
+        # after the cyclotomic factors answers, with no matrix product
+        golden = _block_diagonal([companion((F(-1), F(-1), F(1)))]
+                                 + [companion(cyclotomic(4))] * 2)
+        monkeypatch.setattr(Mat, "__mul__", _refused)
+        assert not is_torsion(golden)
 
     def test_unipotent_is_not_torsion(self):
         # x^2 - 2x + 1 is not squarefree; powers never repeat
@@ -223,6 +229,24 @@ def _block_diagonal(blocks):
             rows.append([0] * at + list(r) + [0] * (n - at - b.rows))
         at += b.rows
     return Mat(rows, cols=n)
+
+
+def _refused(*args):
+    raise AssertionError("refused")
+
+
+# (orders k, whether the companion of the product of the Phi_k is torsion)
+CYCLOTOMIC_PRODUCTS = [
+    ((1, 1), False), ((2, 2), False), ((3, 3), False), ((4, 4), False), ((1, 2, 1), False),
+    ((1, 2), True), ((3, 4), True), ((5,), True), ((7,), True), ((5, 5, 7), False)]
+
+
+def _cyclotomic_product_and_blocks(ks):
+    """The companion of the product of the Phi_k, and the Phi_k's blocks."""
+    product = polys.ONE
+    for k in ks:
+        product = polys.mul(product, cyclotomic(k))
+    return companion(product), _block_diagonal([companion(cyclotomic(k)) for k in ks])
 
 
 @st.composite
@@ -298,18 +322,27 @@ class TestTorsionCertificate:
     def test_agrees_with_minimal_polynomial_oracle(self, A):
         assert is_torsion(A) == oracle_is_torsion(A)
 
-    @pytest.mark.parametrize("ks, torsion", [
-        ((1, 1), False), ((2, 2), False), ((3, 3), False), ((4, 4), False),
-        ((1, 2, 1), False), ((1, 2), True), ((3, 4), True), ((5,), True), ((7,), True)])
+    @pytest.mark.parametrize("ks, torsion", CYCLOTOMIC_PRODUCTS)
     def test_cyclotomic_products(self, ks, torsion):
-        product = polys.ONE
-        for k in ks:
-            product = polys.mul(product, cyclotomic(k))
-        A = companion(product)
+        A, B = _cyclotomic_product_and_blocks(ks)
         assert is_torsion(A) == oracle_is_torsion(A) == torsion
-        # the same factors as separate blocks are semisimple
-        B = _block_diagonal([companion(cyclotomic(k)) for k in ks])
+        # the same factors as separate blocks are semisimple: with Phi_5
+        # twice, A^b = A^(b+35) for b = 0
         assert is_torsion(B) and oracle_is_torsion(B)
+
+    def test_no_matrix_sum_or_scalar_multiple(self, monkeypatch):
+        """The test takes only products of A: every element of the order-384
+        signed permutation group, and the cyclotomic products above."""
+        cycle, sign, swap = signed_perm_generators(4)
+        group = group_closure(MorphismTable(4, ("c", "t", "s"), {"c": cycle, "t": swap, "s": sign}))
+        cases = {}  # matrix -> whether it is torsion
+        for ks, torsion in CYCLOTOMIC_PRODUCTS:
+            A, B = _cyclotomic_product_and_blocks(ks)
+            cases.update({A: torsion, B: True})
+        monkeypatch.setattr(Mat, "__add__", _refused)
+        monkeypatch.setattr(Mat, "__rmul__", _refused)
+        assert group.order == 384 and all(map(is_torsion, group.witness))
+        assert {A: is_torsion(A) for A in cases} == cases
 
     def test_repeated_eigenvalue_beside_a_nilpotent_block(self):
         # chi = x^2 (x + 1)^2: semisimple on -1 passes, a Jordan block fails
