@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .linalg import DimensionMismatch, Mat, _mat, _product
+from .linalg import _UNROLL_BUDGET, DimensionMismatch, Mat, _mat, _product
 
 Word = tuple  # of letters, any hashable labels
 
@@ -107,7 +107,15 @@ class ClosureResult:
         return Mat.identity(self.n) in self.witness
 
 
-DEFER = 8  # the BFS tests its k-th new element for torsion once it has DEFER * k
+DEFER = 8  # the BFS tests its k-th new element for torsion once it has _due(k)
+
+
+def _due(k: int) -> int:
+    """How many elements the BFS holds before it tests its k-th: DEFER * k,
+    times floor(log2(k / 256)) from k = 1024 on, so a large closure that
+    closes runs far fewer tests than one per DEFER elements (2047, not
+    5759, for 46080 elements)."""
+    return DEFER * k * max(1, (k >> 9).bit_length())
 
 
 def _bfs(table: MorphismTable, cap: int, identity: Mat | None = None):
@@ -138,7 +146,7 @@ def _bfs(table: MorphismTable, cap: int, identity: Mat | None = None):
     order, as a BFS that multiplies every pair. The words are spelled
     into it, shortest first, once the graphs are dropped.
 
-    Torsion is tested late (see DEFER) but in insertion order, and every
+    Torsion is tested late (see `_due`) but in insertion order, and every
     untested element is tested before a cap is reported, so all is as if
     each were tested on admission. A BFS that closes skips the rest: each
     element of a finite semigroup is torsion (pigeonhole on its powers).
@@ -156,7 +164,7 @@ def _bfs(table: MorphismTable, cap: int, identity: Mat | None = None):
     first, final, prefix, suffix = [None], [None], [None], [None]
     right: list = []  # right[u * k + a] is the element u.a
     left: list = []  # left[u * k + b] is the element b.u
-    tested = 1  # mats[tested:] awaits the torsion test
+    tested, due = 1, _due(1)  # mats[tested:] awaits the torsion test, mats[tested] past `due`
     filled = level = 0  # elements below `filled` have left rows; the next level starts at `level`
     for u, m in enumerate(mats):  # reaches what the loop appends
         if u == level:  # every element before u has its right row
@@ -195,10 +203,11 @@ def _bfs(table: MorphismTable, cap: int, identity: Mat | None = None):
                 final.append(a)
                 prefix.append(u)
                 suffix.append(r)
-                if len(mats) > DEFER * tested:
+                if len(mats) > due:
                     if not is_torsion(mats[tested]):
                         return store, "infinite", _spell(store, mats, prefix, final, labels)[tested]
                     tested += 1
+                    due = _due(tested)
             right.append(i)
     del right, left, first, suffix  # the Cayley graphs go before the words come
     _spell(store, mats, prefix, final, labels)
@@ -239,7 +248,11 @@ def _charpoly(num: tuple, n: int) -> list[int]:
     recurrence over the leading principal submatrices: with B the leading
     m x m block, R and S the rest of row and column m, and a the diagonal
     entry, the polynomial of the next block is the Toeplitz product of
-    (1, -a, -RS, -RBS, ..., -RB^(m-1)S) with that of B."""
+    (1, -a, -RS, -RBS, ..., -RB^(m-1)S) with that of B. Within the
+    product kernels' budget (n^3 <= _UNROLL_BUDGET) it runs compiled
+    (see `_berkowitz`)."""
+    if 0 < n ** 3 <= _UNROLL_BUDGET:
+        return _berkowitz(n)(num)
     c = [1]
     for m in range(n):
         rows = [num[i * n:i * n + m] for i in range(m)]
@@ -253,6 +266,32 @@ def _charpoly(num: tuple, n: int) -> list[int]:
         t.reverse()
         c = [sum(map(mul, c, t[m + 1 - k:])) for k in range(m + 2)]
     return c
+
+
+@functools.cache
+def _berkowitz(n: int):
+    """`_charpoly`'s recurrence for n x n matrices as a function compiled
+    once per process, with the n^2 entries unpacked into locals e0, e1, ...
+    and every sum written out: w holds B^j S, u[j] the negated t[j], and c
+    the coefficients so far. The source is built from integer indices
+    alone."""
+    lines = ["def charpoly(e):", "".join(f"e{x}," for x in range(n * n)) + " = e"]
+    for m in range(n):
+        lines.append(f"u1 = e{m * n + m}")
+        w = [f"e{i * n + m}" for i in range(m)]  # S
+        for j in range(m):
+            if j:
+                lines.append("".join(f"w{i}," for i in range(m)) + " = " + "".join(
+                    "+".join(f"e{i * n + t}*{w[t]}" for t in range(m)) + "," for i in range(m)))
+                w = [f"w{i}" for i in range(m)]
+            lines.append(f"u{j + 2} = " + "+".join(f"e{m * n + t}*{w[t]}" for t in range(m)))
+        lines.append("".join(f"c{k}," for k in range(1, m + 2)) + " = " + "".join(
+            (f"c{k}" if k <= m else "") + f"-u{k}"
+            + "".join(f"-c{i}*u{k - i}" for i in range(1, k)) + "," for k in range(1, m + 2)))
+    lines.append("return [1," + "".join(f"c{k}," for k in range(1, n + 1)) + "]")
+    namespace = {}
+    exec(compile("\n    ".join(lines), f"<charpoly {n}>", "exec"), namespace)
+    return namespace["charpoly"]
 
 
 def _divide(p: list, q: tuple) -> list | None:
@@ -289,6 +328,30 @@ def _orders(d: int) -> tuple:
     return tuple(k for k in range(1, 2 * d * d + 1) if _totient(k) <= d)
 
 
+_SPLITS: dict = {}  # a product of cyclotomic polynomials -> `_cyclotomic_split`'s orders
+
+
+def _cyclotomic_split(p: list) -> tuple | None:
+    """The orders k, with repeats, of the cyclotomic factors Phi_k of the
+    integer polynomial p (leading coefficient first), dividing out each
+    Phi_k with phi(k) <= deg p as often as it divides; None when a factor
+    of positive degree is left. A p that splits is kept per process: there
+    are finitely many products of cyclotomic polynomials of each degree,
+    and conjugate elements share a characteristic polynomial."""
+    key = tuple(p)
+    orders = _SPLITS.get(key)
+    if orders is None:
+        orders = []
+        for k in _orders(len(p) - 1):
+            while (q := _divide(p, _cyclotomic(k))) is not None:
+                orders.append(k)
+                p = q
+        if len(p) > 1:
+            return None
+        orders = _SPLITS[key] = tuple(orders)
+    return orders
+
+
 def is_torsion(A: Mat) -> bool:
     """Whether A^i = A^j for some i < j.
 
@@ -298,9 +361,11 @@ def is_torsion(A: Mat) -> bool:
     the integer matrix N:
 
     1. chi_A, whose x^(n-k) coefficient is that of chi_N over den^k, has
-       integer coefficients;
+       integer coefficients (chi_N by Berkowitz, compiled for n^3 within
+       the product kernels' budget, see `_berkowitz`);
     2. p divides out into cyclotomic factors Phi_k, phi(k) <= deg p, each
-       as often as it divides, leaving no factor of positive degree;
+       as often as it divides, leaving no factor of positive degree (the
+       orders of a p that splits are kept, see `_cyclotomic_split`);
     3. if no k repeats, chi_A = x^b * rad(p) vanishes at A (Cayley-
        Hamilton); otherwise the test is the definition, A^b = A^(b+L) with
        L the lcm of the k, which a torsion A passes: its minimal
@@ -320,12 +385,8 @@ def is_torsion(A: Mat) -> bool:
     while p[-1] == 0:  # chi_A = x^b * p
         p.pop()
     b = n + 1 - len(p)
-    orders = []
-    for k in _orders(len(p) - 1):
-        while (q := _divide(p, _cyclotomic(k))) is not None:
-            orders.append(k)
-            p = q
-    if len(p) > 1:  # a root that is not a root of unity
+    orders = _cyclotomic_split(p)
+    if orders is None:  # a root that is not a root of unity
         return False
     if len(set(orders)) == len(orders):
         return True

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -11,8 +12,9 @@ from semiforge import (DimensionMismatch, Mat, MorphismTable, NotMember, decide_
                        group_closure, is_torsion, length_bound, shorten, shortest_word_for,
                        size_bound)
 from semiforge import polys, semigroup
-from semiforge.linalg import det, inverse
-from semiforge.semigroup import DEFAULT_CAP, g_upper_bound, _bfs, _charpoly, _totient
+from semiforge.linalg import _UNROLL_BUDGET, det, inverse
+from semiforge.semigroup import (DEFAULT_CAP, g_upper_bound, _berkowitz, _bfs, _charpoly,
+                                 _totient)
 from conftest import (PROJ_X, PROJ_Y, REFLECT, ROT90, SHIFT_NILP, all_words, brute_closure,
                       companion, cyclotomic, mat, oracle_is_torsion, oracle_totient,
                       power_iteration_torsion, random_invertible, random_rational,
@@ -356,13 +358,98 @@ class TestTorsionCertificate:
             is_torsion(Mat([[1, 0]]))
 
     def test_charpoly_matches_sympy(self):
+        """Both sides of the budget: the compiled kernels at n <= 6 and the
+        loop past it, on entries of up to 1 and up to 30 digits."""
         sympy = pytest.importorskip("sympy")
         rng = random.Random(3)
-        for _ in range(150):
-            n = rng.randint(0, 6)
-            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            expected = [int(c) for c in sympy.Matrix(rows).charpoly().all_coeffs()] if n else [1]
-            assert _charpoly(tuple(x for r in rows for x in r), n) == expected
+        for n, bound in itertools.product(range(9), (4, 4 * 10 ** 29)):
+            for _ in range(20 if n < 7 else 4):
+                rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+                expected = sympy.Matrix(rows).charpoly().all_coeffs() if n else [1]
+                assert _charpoly(tuple(x for r in rows for x in r), n) == [int(c) for c in expected]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_charpoly_kernel_matches_the_loop(self, monkeypatch, n):
+        """Without sympy: each compiled kernel against the loop it writes
+        out, which a zero budget makes `_charpoly` run."""
+        rng = random.Random(n)
+        cases = [tuple(rng.randint(-10 ** d, 10 ** d) for _ in range(n * n))
+                 for d in (0, 1, 30) for _ in range(30)]
+        cases += [Mat.identity(n).num, Mat.zeros(n, n).num]
+        compiled = [_charpoly(num, n) for num in cases]
+        monkeypatch.setattr(semigroup, "_UNROLL_BUDGET", 0)
+        assert compiled == [_charpoly(num, n) for num in cases]
+
+    def test_charpoly_shapes(self, monkeypatch):
+        """The kernel is compiled exactly where the square product kernel
+        is, n^3 <= _UNROLL_BUDGET (n <= 6 today), and n = 7 takes the loop."""
+        assert _UNROLL_BUDGET == 16 ** 2
+        built = []
+
+        def spy(n):
+            built.append(n)
+            return _berkowitz(n)
+
+        monkeypatch.setattr(semigroup, "_berkowitz", spy)
+        for n in range(9):
+            _charpoly(Mat.identity(n).num, n)
+            compiled = bool(built) and built.pop() == n
+            assert compiled == (0 < n ** 3 <= _UNROLL_BUDGET) == (1 <= n <= 6)
+            if compiled:
+                assert _berkowitz(n).__code__.co_filename == f"<charpoly {n}>"
+        assert not built
+
+
+class TestSplitMemo:
+    """The cyclotomic split is kept per characteristic polynomial, and only
+    for a polynomial that splits completely."""
+
+    def test_non_torsion_adds_nothing(self, monkeypatch):
+        """Shears (I or -I plus a nonzero strictly upper part), stretches
+        and random integer matrices whose trace exceeds n, so none is
+        torsion. A shear's (x - 1)^n or (x + 1)^n splits, and is already
+        there from I or -I."""
+        monkeypatch.setattr(semigroup, "_SPLITS", {})
+        for n in range(1, 7):
+            assert is_torsion(Mat.identity(n)) and is_torsion(Mat.identity(n) * -1)
+        memo = dict(semigroup._SPLITS)
+        rng = random.Random(5)
+        matrices = []
+        while len(matrices) < 500:
+            n = rng.randint(1, 6)
+            kind = rng.randrange(3)
+            if kind == 0 and n > 1:
+                sign = rng.choice([1, -1])
+                A = Mat([[sign if i == j else rng.randint(-5, 5) * (j > i) for j in range(n)]
+                         for i in range(n)])
+                if A == Mat.identity(n) * sign:
+                    continue
+            elif kind == 1:
+                A = Mat([[(rng.choice([2, 3, F(1, 2), F(-2, 3)]) if i == 0 else rng.choice([1, -1]))
+                          if i == j else 0 for j in range(n)] for i in range(n)])
+            else:
+                rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+                rows[0][0] = n + 1 - sum(rows[i][i] for i in range(1, n))
+                A = Mat(rows)
+            matrices.append(A)
+        assert not any(map(is_torsion, matrices))
+        assert semigroup._SPLITS == memo
+
+    def test_at_most_one_entry_per_charpoly(self, monkeypatch):
+        cycle, sign, swap = signed_perm_generators(4)
+        group = group_closure(MorphismTable(4, ("c", "t", "s"), {"c": cycle, "t": swap, "s": sign}))
+        monkeypatch.setattr(semigroup, "_SPLITS", {})
+        assert group.order == 384 and all(map(is_torsion, group.witness))
+        charpolys = {tuple(_charpoly(A.num, 4)) for A in group.witness}
+        assert 0 < len(semigroup._SPLITS) <= len(charpolys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_torsion_candidates())
+    def test_verdicts_do_not_depend_on_the_memo(self, A):
+        verdict = is_torsion(A)
+        assert is_torsion(A) == verdict  # read from the memo if chi_A splits
+        semigroup._SPLITS.clear()
+        assert is_torsion(A) == verdict
 
 
 class TestDecideFiniteness:
@@ -539,6 +626,67 @@ def test_closure_multiplies_at_most_half_of_the_pairs(monkeypatch):
     assert count.pop("products") <= 6045
     assert len(decide_finiteness(table).closure) == 3840
     assert count.pop("products") <= 6045
+
+
+def _affine_reflections(r):
+    """The r + 1 reflections of the affine Weyl group of type A~r in its
+    geometric representation (s_i e_i = -e_i, s_i e_j = e_j + e_i for i, j
+    adjacent on an (r + 1)-cycle): integer (r + 1) x (r + 1) matrices. A
+    word that misses a letter lies in a finite parabolic subgroup, so the
+    first non-torsion element needs all r + 1 letters (at r = 6 it comes
+    after 1700-1900 elements, by the letters' order), and any r of the
+    letters generate the symmetric group of order (r + 1)!."""
+    n = r + 1
+    return [Mat([[-1 if i == j == s else int(i == j) + (j == s and (i - s) % n in (1, r))
+                  for j in range(n)] for i in range(n)]) for s in range(n)]
+
+
+@pytest.mark.parametrize("seed, cap, flushed", [
+    (0, 8000, [True, True]), (1, 20000, [True, False]), (2, 40000, [False, False])])
+def test_schedule_changes_no_output(monkeypatch, seed, cap, flushed):
+    """`_bfs` against itself under the linear schedule DEFER * k, past the
+    4096 elements where the two agree. The A~6 reflections, in a seeded
+    order, first reach a non-torsion element after about 1800 elements,
+    which the linear schedule tests at about 14000 elements and ours at
+    about 28000: at cap 8000 both sides find it in the flush at the cap,
+    at 20000 only ours does, and at 40000 neither. Six of the letters close
+    on the symmetric group of order 5040, in either mode. Status and word
+    agree, and the store of the side that stopped first begins the
+    other's."""
+    rng = random.Random(seed)
+    letters = _affine_reflections(6)
+    rng.shuffle(letters)
+    infinite = MorphismTable(7, tuple(range(7)), dict(enumerate(letters)))
+    finite = MorphismTable(7, tuple(range(6)), dict(enumerate(letters[:6])))
+    runs = [(infinite, cap, None), (finite, 5040 + seed, Mat.identity(7) if seed % 2 else None)]
+    ours = [_bfs(*run) for run in runs]
+    monkeypatch.setattr(semigroup, "_due", lambda k: semigroup.DEFER * k)
+    linear = [_bfs(*run) for run in runs]
+    assert [status for _, status, _ in ours] == ["infinite", "finite"]
+    assert [len(store) == cap for store, _, _ in (ours[0], linear[0])] == flushed
+    for (store, status, word), (old_store, old_status, old_word) in zip(ours, linear):
+        assert (status, word) == (old_status, old_word)
+        first, last = sorted((list(store.items()), list(old_store.items())), key=len)
+        assert first == last[:len(first)]
+
+
+def test_torsion_tests_on_the_n6_group(monkeypatch):
+    """The order-46080 signed permutation group closes after 2047 torsion
+    tests: the k-th element is tested once the store holds 8k elements
+    below k = 1024 and 8k * floor(log2(k / 256)) from there. The linear
+    schedule, 8k throughout, ran 5759."""
+    calls = Counter()
+    torsion = semigroup.is_torsion
+
+    def counted(A):
+        calls["is_torsion"] += 1
+        return torsion(A)
+
+    monkeypatch.setattr(semigroup, "is_torsion", counted)
+    cycle, sign, swap = signed_perm_generators(6)
+    table = MorphismTable(6, ("c", "t", "s"), {"c": cycle, "t": swap, "s": sign})
+    assert group_closure(table).order == 46080
+    assert calls == {"is_torsion": 2047}
 
 
 def test_witnesses_unchanged_under_the_oracle(monkeypatch):
