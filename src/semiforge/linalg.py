@@ -11,23 +11,32 @@ the fraction-free Gauss-Jordan variant): every division is exact, and
 the rational result is formed once at the end.
 
 Four callers run the product kernel `_product(r, k, c)` for their
-shape: `Mat.__mul__`, the VASS steps, a weighted automaton's forward
-space (numerator rows, whose scale a span ignores) and
-`MorphismTable.evaluate`, the one fold of a word's numerators (weighted
-automata evaluate through it), which takes a gcd only after a letter
-whose denominator is not 1.
+shape: `Mat.__mul__` when both operands are integral, the VASS steps, a
+weighted automaton's forward space (numerator rows, whose scale a span
+ignores) and `MorphismTable.evaluate`, the one fold of a word's
+numerators (weighted automata evaluate through it), for each integral
+letter. A rational product, in `Mat.__mul__` or a fold step on a letter
+whose denominator is not 1, runs the lowest-terms kernel `_reduced(r, k,
+c)` instead: it keeps the same written-out entries in locals, takes their
+gcd with the product of the denominators and divides exactly, so the
+pair leaves the kernel in lowest terms. Every other result (sums,
+scalings, `stack`, `rref`, `inverse`) is brought to lowest terms by
+`_mat`.
 Up to _UNROLL_BUDGET = 256 scalar multiplications (square n <= 6, a row
-times an n x n matrix up to n = 16) the kernel is compiled once per
-process from source with every entry written out. Building one costs a
-fresh process 0.2-2 ms and pays for itself after 40-150 products of its
-shape; a 2 x 2 kernel takes 0.16 us where a loop of sum(map(mul, ...))
-per entry takes 2.3 us (CPython 3.11 on a 2-vCPU Xeon). Larger shapes
-keep that loop: the source grows as r * k * c, and whether its compile
-pays off past the budget has not been measured end to end. The torsion
+times an n x n matrix up to n = 16) both kernels are compiled once per
+process from source with every entry written out. Building a product
+kernel costs a fresh process 0.1-0.8 ms (2 x 2 x 2 to 5 x 7 x 7), a
+lowest-terms one 0.2-1.1 ms, and a kernel pays for itself after
+40-150 products of its shape; a 2 x 2 kernel takes 0.16 us where a loop
+of sum(map(mul, ...)) per entry takes 2.3 us (CPython 3.11 on a 2-vCPU
+Xeon). Larger shapes keep that loop, the lowest-terms kernel with one gcd
+after it: the source grows as r * k * c, and whether its compile pays
+off past the budget has not been measured end to end. The torsion
 test's characteristic polynomial (`semigroup._charpoly`) is compiled under
 the same budget, for each n whose square product kernel is: Berkowitz's
 recurrence written out, built in 0.1-1.2 ms at n = 1-6, takes 2.5 us at
-n = 5 where its loop takes 27 us.
+n = 5 where its loop takes 27 us. All three kernels are built by
+`_compiled` from integer indices alone.
 """
 
 from __future__ import annotations
@@ -78,8 +87,22 @@ def _mat(rows: int, cols: int, num: tuple, den: int) -> "Mat":
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
-            num = tuple(x // g for x in num)
+            num = tuple([x // g for x in num])
             den //= g
+    # `_lowest`'s body, written out: the call costs about 35 ns, 5% of a
+    # 2 x 2 integral product
+    m = object.__new__(Mat)
+    m.rows = rows
+    m.cols = cols
+    m.num = num
+    m.den = den
+    m._hash = None
+    return m
+
+
+def _lowest(rows: int, cols: int, num: tuple, den: int) -> "Mat":
+    """A Mat from row-major numerators over a positive denominator that are
+    already in lowest terms together."""
     m = object.__new__(Mat)
     m.rows = rows
     m.cols = cols
@@ -91,11 +114,31 @@ def _mat(rows: int, cols: int, num: tuple, den: int) -> "Mat":
 
 # The most scalar multiplications (r * k * c) for which a product shape
 # gets compiled code: the benchmark's largest product (5 x 7 x 7 = 245, on
-# automata) rounded up. An n x n characteristic polynomial is compiled
-# when n^3 is within it too, so a new budget moves both kernels. A
-# written-out 60 x 60 product took 0.74 s and 236 MB of peak RSS to
-# compile (CPython 3.11, 2-vCPU Xeon).
+# automata) rounded up. The lowest-terms product kernel follows it, and an
+# n x n characteristic polynomial is compiled when n^3 is within it too,
+# so a new budget moves all three kernels. A written-out 60 x 60 product
+# took 0.74 s and 236 MB of peak RSS to compile (CPython 3.11, 2-vCPU
+# Xeon).
 _UNROLL_BUDGET = 256
+
+
+def _compiled(filename: str, name: str, lines: list[str]):
+    """The function `name` defined by `lines`, a def line and its body one
+    statement a line, compiled under `filename`; the body sees `gcd`."""
+    namespace = {"gcd": gcd}
+    exec(compile("\n    ".join(lines), filename, "exec"), namespace)
+    return namespace[name]
+
+
+def _unrolled(r: int, k: int, c: int) -> tuple[list[str], list[str]]:
+    """For an r x k times k x c product, the lines that unpack the operands
+    a and b into locals a0, a1, ... and b0, b1, ..., and each entry of the
+    product, row-major, as a sum of products of those locals."""
+    unpack = ["".join(f"a{x}," for x in range(r * k)) + " = a",
+              "".join(f"b{x}," for x in range(k * c)) + " = b"]
+    entries = ["+".join(f"a{i * k + t}*b{t * c + j}" for t in range(k))
+               for i in range(r) for j in range(c)]
+    return unpack, entries
 
 
 @cache
@@ -112,19 +155,37 @@ def _product(r: int, k: int, c: int):
             return tuple([sum(map(mul, a[i:i + k], col))
                           for i in range(0, len(a), k) for col in columns])
         return product
+    unpack, entries = _unrolled(r, k, c)
+    return _compiled(f"<product {r}x{k}x{c}>", "product", [
+        "def product(a, b):", *unpack, "return (" + "".join(f"{e}," for e in entries) + ")"])
 
-    def entry(i, j):
-        return "+".join(f"a{i * k + t}*b{t * c + j}" for t in range(k))
 
-    source = "\n    ".join([
-        "def product(a, b):",
-        "".join(f"a{x}," for x in range(r * k)) + " = a",
-        "".join(f"b{x}," for x in range(k * c)) + " = b",
-        "return (" + "".join(f"{entry(i, j)}," for i in range(r) for j in range(c)) + ")",
-    ])
-    namespace = {}
-    exec(compile(source, f"<product {r}x{k}x{c}>", "exec"), namespace)
-    return namespace["product"]
+@cache
+def _reduced(r: int, k: int, c: int):
+    """The kernel that multiplies an r x k by a k x c matrix given as
+    row-major numerators a and b and d, the product of their positive
+    denominators, and returns the product's numerators and denominator in
+    lowest terms; d = 1 passes through. Compiled as `_product` is, with
+    each entry kept in a local x0, x1, ... for one gcd with d; past the
+    budget, or with a zero dimension, `_product` and then that gcd."""
+    if not 0 < r * k * c <= _UNROLL_BUDGET:
+        times = _product(r, k, c)
+
+        def reduced(a, b, d):
+            num = times(a, b)
+            g = gcd(d, *num)
+            if g == 1:
+                return num, d
+            return tuple([x // g for x in num]), d // g
+        return reduced
+    unpack, entries = _unrolled(r, k, c)
+    xs = [f"x{i}" for i in range(r * c)]
+    return _compiled(f"<reduced {r}x{k}x{c}>", "reduced", [
+        "def reduced(a, b, d):", *unpack, *(f"{x} = {e}" for x, e in zip(xs, entries)),
+        "g = gcd(d, " + ", ".join(xs) + ")",
+        "if g == 1:",
+        "    return (" + "".join(f"{x}," for x in xs) + "), d",
+        "return (" + "".join(f"{x}//g," for x in xs) + "), d//g"])
 
 
 class Mat:
@@ -209,9 +270,12 @@ class Mat:
             k = self.cols
             if k != other.rows:
                 raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-            c = other.cols
-            num = _product(self.rows, k, c)(self.num, other.num)
-            return _mat(self.rows, c, num, self.den * other.den)
+            r, c = self.rows, other.cols
+            d = self.den * other.den
+            if d != 1:
+                num, d = _reduced(r, k, c)(self.num, other.num, d)
+                return _lowest(r, c, num, d)
+            return _mat(r, c, _product(r, k, c)(self.num, other.num), 1)
         return self.__rmul__(other)
 
     def __rmul__(self, other):
@@ -360,11 +424,9 @@ class Subspace:
         """The matrix C with C * basis == M: the coordinates of the rows of M
         in the unit-pivot RREF basis, which are M's pivot columns. Raises
         LinAlgError if a row of M is outside."""
-        n = self.ambient_dim
-        if M.cols != n:
+        if M.cols != self.ambient_dim:
             raise DimensionMismatch("vector has wrong length")
-        C = _mat(M.rows, self.dim,
-                 tuple(M.num[i * n + p] for i in range(M.rows) for p in self.pivots), M.den)
+        C = _pivot_read(self, M)
         if C * self.basis != M:
             raise LinAlgError("vector not in subspace")
         return C
@@ -379,6 +441,14 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of Q^{self.ambient_dim})"
+
+
+def _pivot_read(S: Subspace, M: Mat) -> Mat:
+    """M's columns at S's pivots: the coordinates of M's rows in S's
+    unit-pivot RREF basis when they lie in S, which is not checked."""
+    n = S.ambient_dim
+    return _mat(M.rows, S.dim, tuple(M.num[i * n + p] for i in range(M.rows) for p in S.pivots),
+                M.den)
 
 
 def image(A: Mat) -> Subspace:

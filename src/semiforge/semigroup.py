@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .linalg import _UNROLL_BUDGET, DimensionMismatch, Mat, _mat, _product
+from .linalg import (_UNROLL_BUDGET, DimensionMismatch, Mat, _compiled, _mat, _product,
+                     _reduced)
 
 Word = tuple  # of letters, any hashable labels
 
@@ -60,8 +61,12 @@ class MorphismTable:
 
     def evaluate(self, word, start: Mat | None = None) -> Mat:
         """`start` times the letters' product; without `start`, the product
-        (the identity for no letters). The package's one numerator fold: the
-        denominator grows, and one gcd is taken, only after a rational letter."""
+        (the identity for no letters). The package's one numerator fold: an
+        integral letter is a `_product` step on the numerators, and a letter
+        whose denominator is not 1 a `_reduced` step, whose kernel takes the
+        gcd and returns the pair in lowest terms (fetched on the first such
+        letter). `_mat` reduces once more at the end, since an integral
+        letter can cancel the denominator."""
         mapping, n = self.mapping, self.n
         letters = iter(word)
         if start is None:
@@ -73,15 +78,15 @@ class MorphismTable:
             raise DimensionMismatch(f"a start of width {start.cols} for {n} x {n} letters")
         rows, num, den = start.rows, start.num, start.den
         times = _product(rows, n, n)
+        reduced = None
         for a in letters:
             m = mapping[a]
-            num = times(num, m.num)
-            if m.den != 1:
-                den *= m.den
-                g = math.gcd(den, *num)
-                if g != 1:
-                    num = tuple([x // g for x in num])
-                    den //= g
+            if m.den == 1:
+                num = times(num, m.num)
+            else:
+                if reduced is None:
+                    reduced = _reduced(rows, n, n)
+                num, den = reduced(num, m.num, den * m.den)
         return _mat(rows, n, num, den)
 
 
@@ -289,9 +294,7 @@ def _berkowitz(n: int):
             (f"c{k}" if k <= m else "") + f"-u{k}"
             + "".join(f"-c{i}*u{k - i}" for i in range(1, k)) + "," for k in range(1, m + 2)))
     lines.append("return [1," + "".join(f"c{k}," for k in range(1, n + 1)) + "]")
-    namespace = {}
-    exec(compile("\n    ".join(lines), f"<charpoly {n}>", "exec"), namespace)
-    return namespace["charpoly"]
+    return _compiled(f"<charpoly {n}>", "charpoly", lines)
 
 
 def _divide(p: list, q: tuple) -> list | None:

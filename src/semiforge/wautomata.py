@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .linalg import Mat, Subspace, _mat, _product, image
+from .linalg import Mat, Subspace, _mat, _pivot_read, _product, image
 from .semigroup import DEFAULT_CAP, FinitenessResult, MorphismTable, decide_finiteness
 
 
@@ -96,8 +96,13 @@ def reverse(A: WeightedAutomaton) -> WeightedAutomaton:
 def _forward_restrict(A: WeightedAutomaton) -> WeightedAutomaton:
     F = forward_space(A)
     basis = F.basis
-    # rows of basis * M(a) stay inside the forward space
-    mapping = {a: F.coordinates(basis * A.table.mapping[a]) for a in A.alphabet}
+    mapping = {}
+    for a in A.alphabet:
+        # the rows of basis * M(a) lie in the forward space by construction,
+        # so their pivot columns are their coordinates
+        M = basis * A.table.mapping[a]
+        mapping[a] = C = _pivot_read(F, M)
+        assert C * basis == M
     return WeightedAutomaton(MorphismTable(F.dim, A.alphabet, mapping),
                              F.coordinates(A.alpha), A.eta * basis.transpose())
 

@@ -2,17 +2,19 @@ import itertools
 import math
 import operator
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from semiforge import (Mat, Subspace, det, image, inverse,
-                       kernel, minimal_polynomial, rank, rref,
-                       DimensionMismatch, NotInvertible)
-from semiforge.linalg import _UNROLL_BUDGET, LinAlgError, _product, stack
-from conftest import ROT90, mat, random_rational
+from semiforge import (AffineVass, Configuration, Mat, Shortener, Subspace, Transition,
+                       decide_finiteness, det, image, inverse, kernel, minimal_polynomial,
+                       rank, reach_bounded, rref, DimensionMismatch, NotInvertible)
+from semiforge import linalg, semigroup
+from semiforge.linalg import _UNROLL_BUDGET, LinAlgError, _product, _reduced, stack
+from conftest import ROT90, mat, random_rational, signed_perm_generators, table_from
 from oracles import oracle_minimal_polynomial
 
 F = Fraction
@@ -281,6 +283,20 @@ def assert_lowest_terms(m):
     assert m.is_integral() == all(x.denominator == 1 for r in m.data for x in r)
 
 
+# Shapes on both sides of the compiled kernels' budget (square 6^3 and
+# 7^3, a 1 x n row times n x n at n = 16 and 17, a 256-term sum and a
+# 257-term one), the benchmark's largest product, lopsided ones, and zero
+# dimensions.
+PRODUCT_SHAPES = [
+    (6, 6, 6), (7, 7, 7), (1, 16, 16), (1, 17, 17), (1, 256, 1), (1, 257, 1),
+    (5, 7, 7), (16, 16, 16), (17, 17, 17), (8, 1, 8), (40, 3, 40), (3, 40, 3),
+    (1, 5000, 1), (5000, 1, 1), (3, 0, 4), (0, 5, 3), (4, 5, 0), (0, 0, 0)]
+
+
+def shape_id(shape):
+    return "x".join(map(str, shape))
+
+
 class TestAgainstFractionOracle:
     @given(st.tuples(dims, dims, dims).flatmap(
         lambda s: st.tuples(grids(s[0], s[1]), grids(s[1], s[2]), st.just(s))))
@@ -296,23 +312,20 @@ class TestAgainstFractionOracle:
         assert p == Mat(oracle_mul(a, b, k, c), cols=c)
         assert_lowest_terms(p)
 
-    # Shapes on both sides of the compiled kernels' budget (square 6^3 and
-    # 7^3, a 1 x n row times n x n at n = 16 and 17, a 256-term sum and a
-    # 257-term one), the benchmark's largest product, lopsided ones, and
-    # zero dimensions. With `big`, each matrix has entries with 30-digit
-    # numerators over one 20-digit denominator, like those of a rationally
-    # conjugated group.
-    @pytest.mark.parametrize("shape", [
-        (6, 6, 6), (7, 7, 7), (1, 16, 16), (1, 17, 17), (1, 256, 1), (1, 257, 1),
-        (5, 7, 7), (16, 16, 16), (17, 17, 17), (8, 1, 8), (40, 3, 40), (3, 40, 3),
-        (1, 5000, 1), (5000, 1, 1), (3, 0, 4), (0, 5, 3), (4, 5, 0), (0, 0, 0)],
-        ids=lambda shape: "x".join(map(str, shape)))
+    # With `big`, each matrix has entries with 30-digit numerators over one
+    # 20-digit denominator, like those of a rationally conjugated group.
+    # Besides the product of two such matrices, each shape multiplies one
+    # by an integral matrix on either side, a zero matrix by one, and a
+    # product that cancels a denominator: entries over q times multiples of
+    # q over q + 1.
+    @pytest.mark.parametrize("shape", PRODUCT_SHAPES, ids=shape_id)
     @pytest.mark.parametrize("big", [False, True], ids=["small", "big"])
     def test_product_shapes(self, shape, big):
         assert _UNROLL_BUDGET == 16 ** 2
         r, k, c = shape
-        compiled = _product(r, k, c).__code__.co_filename.startswith("<product")
-        assert compiled == (0 < r * k * c <= _UNROLL_BUDGET)
+        for build, name in ((_product, "<product"), (_reduced, "<reduced")):
+            compiled = build(r, k, c).__code__.co_filename.startswith(name)
+            assert compiled == (0 < r * k * c <= _UNROLL_BUDGET)
         rng = random.Random(f"{shape} {big}")
 
         def grid(rows, cols):
@@ -322,7 +335,17 @@ class TestAgainstFractionOracle:
             return [[F(rng.randint(-10 ** 30, 10 ** 30), den) for _ in range(cols)]
                     for _ in range(rows)]
 
-        self.assert_product(grid(r, k), grid(k, c), shape)
+        def integral(rows, cols):
+            bound = 10 ** 30 if big else 5
+            return [[F(rng.randint(-bound, bound)) for _ in range(cols)] for _ in range(rows)]
+
+        a, b = grid(r, k), grid(k, c)
+        q = rng.randint(2, 10 ** 6)
+        over_q = [[F(rng.randint(-9, 9), q) for _ in range(k)] for _ in range(r)]
+        multiples = [[F(q * rng.randint(-9, 9), q + 1) for _ in range(c)] for _ in range(k)]
+        for x, y in ((a, b), (a, integral(k, c)), (integral(r, k), b), ([[F(0)] * k] * r, b),
+                     (over_q, multiples)):
+            self.assert_product(x, y, shape)
 
     def test_large_product_builds_no_slow_kernel(self):
         # the kernel is built past the cache, so the time includes making
@@ -418,6 +441,111 @@ class TestAgainstFractionOracle:
             assert B == A and hash(B) == hash(A)
             assert (B.den, B.num) == (A.den, A.num)
         assert_lowest_terms(A)
+
+
+class TestLowestTermsKernel:
+    """A rational product leaves `_reduced`'s kernel in lowest terms;
+    `test_product_shapes` and the Fraction products of `oracle_mul` check
+    it shape by shape."""
+
+    @given(st.tuples(dims, dims, dims).flatmap(lambda s: st.tuples(
+        grids(s[0], s[1], st.fractions(min_value=-10 ** 30, max_value=10 ** 30,
+                                       max_denominator=10 ** 12)),
+        grids(s[1], s[2], st.fractions(min_value=-10 ** 30, max_value=10 ** 30,
+                                       max_denominator=10 ** 12)),
+        st.just(s))))
+    @example(([[F(1, 2)]], [[F(2)]], (1, 1, 1)))
+    @example(([[F(1, 2), F(1, 2)]], [[F(1, 3)], [F(-1, 3)]], (1, 2, 1)))
+    @example(([[F(0), F(0)]], [[F(1, 3)], [F(1, 5)]], (1, 2, 1)))
+    @example(([[F(1, 6), F(1, 4)], [F(1, 2), F(1, 3)]], [[F(2), F(0)], [F(0), F(4)]], (2, 2, 2)))
+    def test_matches_fractions(self, case):
+        TestAgainstFractionOracle.assert_product(*case)
+
+    @pytest.mark.parametrize("shape", PRODUCT_SHAPES, ids=shape_id)
+    def test_kernel_matches_the_loop(self, monkeypatch, shape):
+        """The compiled kernel, against the loop and gcd that a zero budget
+        selects; d = 1 passes through and all-zero products come out over 1."""
+        r, k, c = shape
+        kernel = _reduced(r, k, c)
+        monkeypatch.setattr(linalg, "_UNROLL_BUDGET", 0)
+        loop = _reduced.__wrapped__(r, k, c)
+        assert not loop.__code__.co_filename.startswith("<reduced")
+        rng = random.Random(f"loop {shape}")
+        for _ in range(4):
+            a = tuple(rng.randint(-10 ** 30, 10 ** 30) for _ in range(r * k))
+            b = tuple(rng.randint(-10 ** 30, 10 ** 30) for _ in range(k * c))
+            for d in (1, 2, rng.randint(2, 10 ** 20)):
+                num, den = kernel(a, b, d)
+                assert (num, den) == loop(a, b, d)
+                assert type(num) is tuple and den > 0 and math.gcd(den, *num) == 1
+                assert num == tuple(x // (d // den) for x in _product(r, k, c)(a, b))
+            assert kernel((0,) * (r * k), b, 6) == ((0,) * (r * c), 1)
+
+    def test_integral_paths_never_reach_it(self, monkeypatch):
+        """Integral products, an integral word fold, a VASS search and the
+        sweep's decide-and-shorten on 2 x 2 tables run without it."""
+        def refuse(*shape):
+            raise AssertionError(f"the lowest-terms kernel ran for {shape}")
+        monkeypatch.setattr(linalg, "_reduced", refuse)
+        monkeypatch.setattr(semigroup, "_reduced", refuse)
+        rng = random.Random(35)
+        for r, k, c in PRODUCT_SHAPES:
+            a = Mat([[rng.randint(-5, 5) for _ in range(k)] for _ in range(r)], cols=k)
+            b = Mat([[rng.randint(-5, 5) for _ in range(c)] for _ in range(k)], cols=c)
+            assert (a * b).den == 1
+        gens = signed_perm_generators(4)
+        table = table_from(gens)
+        word = [rng.choice(table.alphabet) for _ in range(200)]
+        start = Mat([[rng.randint(-3, 3) for _ in range(4)]])
+        assert table.evaluate(word, start).den == table.evaluate(word).den == 1
+        V = AffineVass(2, ("p", "q"), (
+            Transition("p", Mat.identity(2), (1, 0), "p"),
+            Transition("p", mat([[0, 1], [1, 0]]), (0, 0), "q"),
+            Transition("q", Mat.identity(2), (0, -1), "q")))
+        assert reach_bounded(V, Configuration("p", (0, 0)), Configuration("q", (0, -2)),
+                             10000).status == "reached"
+        for gens in ([[[0, 1], [1, 0]], [[1, 0], [0, -1]]], [[[1, 1], [0, 1]]],
+                     [[[0, 1], [0, 0]], [[1, 0], [0, 0]]]):
+            table = table_from(gens)
+            if decide_finiteness(table, 61).status == "finite":
+                shortener = Shortener(table, assume_finite=True)
+                for w in itertools.product(table.alphabet, repeat=6):
+                    assert table.evaluate(shortener.shorten(w)) == table.evaluate(w)
+
+
+# what a compiled kernel's source may hold: names of one letter and digits,
+# the keywords and names its lines use, decimal digits, operators and
+# brackets; no quote, so no string, and no other literal
+_KERNEL_TOKEN = re.compile(r"\b(?:[a-z][0-9]*|[0-9]+|def|return|if|gcd|product|reduced|charpoly)\b"
+                           r"|//|==|[-+*/=,():\[\]\s]")
+
+
+def test_kernel_sources_hold_only_indices(monkeypatch):
+    """Every source compiled within the budget, for every product shape and
+    every characteristic-polynomial size, is built from integer indices
+    alone. `compile` is patched to keep each source and compile a stub."""
+    sources = []
+
+    def keep(source, filename, mode):
+        sources.append((filename, source))
+        name = source[4:source.index("(")]
+        return compile(f"def {name}(*args): pass", filename, mode)
+    monkeypatch.setattr(linalg, "compile", keep, raising=False)
+    budget = _UNROLL_BUDGET
+    shapes = [(r, k, c) for r in range(1, budget + 1) for k in range(1, budget // r + 1)
+              for c in range(1, budget // (r * k) + 1)]
+    for shape in shapes:
+        linalg._product.__wrapped__(*shape)
+        linalg._reduced.__wrapped__(*shape)
+    sizes = [n for n in range(1, budget + 1) if n ** 3 <= budget]
+    for n in sizes:
+        semigroup._berkowitz.__wrapped__(n)
+    assert len(sources) == 2 * len(shapes) + len(sizes) == 2 * 5136 + 6
+    for filename, source in sources:
+        assert re.fullmatch(r"<(product|reduced) \d+x\d+x\d+>|<charpoly \d>", filename)
+        assert source.startswith(("def product(a, b):", "def reduced(a, b, d):",
+                                  "def charpoly(e):"))
+        assert not _KERNEL_TOKEN.sub("", source), filename
 
 
 class TestEntries:

@@ -88,6 +88,59 @@ class TestEvaluate:
                 assert value == oracle, word
                 assert value.den > 0 and math.gcd(value.den, *value.num) == 1
 
+    @staticmethod
+    def assert_matches_the_fold(table, word, start):
+        expected = start
+        for a in word:
+            expected = expected * table.mapping[a]
+        value = table.evaluate(word, start)
+        assert value == expected, word
+        assert value.den > 0 and math.gcd(value.den, *value.num) == 1
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_a_rational_start_with_integral_letters(self, n):
+        """No letter is rational, so only the final `_mat` brings the
+        start's denominator to lowest terms; at n = 7 the loop runs."""
+        rng = random.Random(350 + n)
+        letters = [_signed_permutation(rng, n),
+                   Mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)], cols=n)]
+        table = table_from(letters)
+        for rows in (1, n):
+            start = Mat([[random_rational(rng, 4, 6) for _ in range(n)] for _ in range(rows)],
+                        cols=n)
+            assert start.den > 1
+            for _ in range(20):
+                word = [rng.choice("ab") for _ in range(rng.randint(0, 12))]
+                self.assert_matches_the_fold(table, word, start)
+            # an integral letter that cancels the start's denominator
+            scale = table_from([start.den * Mat.identity(n)])
+            self.assert_matches_the_fold(scale, "a", start)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_mixed_words(self, n):
+        """Words that alternate runs of rational and integral letters, from
+        an integral start, a rational one and none. The integral letter i,
+        R's denominator times I, cancels that denominator after an r."""
+        rng = random.Random(360 + n)
+        C = random_invertible(rng, n)
+        R = F(1, 2) * inverse(C) * _signed_permutation(rng, n) * C
+        mapping = {"r": R, "s": inverse(C) * _signed_permutation(rng, n) * C,
+                   "p": _signed_permutation(rng, n), "i": R.den * Mat.identity(n)}
+        assert R.den > 1
+        table = MorphismTable(n, tuple(mapping), mapping)
+        starts = [Mat([[rng.randint(-3, 3) for _ in range(n)]], cols=n),
+                  Mat([[random_rational(rng) for _ in range(n)] for _ in range(n)], cols=n)]
+        for _ in range(30):
+            word = []
+            while len(word) < 30:
+                word += [rng.choice("rs")] * rng.randint(1, 3) + [rng.choice("pi")] * rng.randint(0, 3)
+            for start in starts:
+                self.assert_matches_the_fold(table, word, start)
+            expected = mapping[word[0]]
+            for a in word[1:]:
+                expected = expected * mapping[a]
+            assert table.evaluate(word) == expected
+
     def test_a_start_of_the_wrong_width_is_refused(self):
         table = table_from([ROT90])
         for start in (Mat.row_vector([1, 2, 3]), Mat.identity(3), Mat.zeros(2, 1)):
