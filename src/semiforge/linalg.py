@@ -10,6 +10,12 @@ work. Elimination is fraction-free (Bareiss 1968; the reduced form is
 the fraction-free Gauss-Jordan variant): every division is exact, and
 the rational result is formed once at the end.
 
+`Mat(...)` and the file readers in `serialize` share one entry grammar,
+`_rational` (an int, or "p" or "p/q" in ASCII digits), and one constructor
+from the (p, q) pairs it returns, `_over_lcm`, so construction builds no
+`Fraction`; a zero denominator is a `ValueError` in `Mat` and a parse
+error (exit 1) in a file.
+
 Four callers run the product kernel `_product(r, k, c)` for their
 shape: `Mat.__mul__` when both operands are integral, the VASS steps, a
 weighted automaton's forward space (numerator rows, whose scale a span
@@ -49,7 +55,7 @@ from functools import cache
 from itertools import count
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class LinAlgError(ValueError):
@@ -69,13 +75,22 @@ class NotInvertible(LinAlgError):
 _FRACTION_RE = re.compile(r"(-?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
 
 
-def _frac(x) -> Fraction:
-    """An entry: an int that is not a bool, a Fraction or a rational string."""
-    if not isinstance(x, (int, Fraction, str)) or isinstance(x, bool):
-        raise TypeError(f"entry {reprlib.repr(x)}: pass an int, a Fraction or a rational string")
-    if isinstance(x, str) and not _FRACTION_RE.fullmatch(x):
+def _rational(x) -> tuple[int, int]:
+    """(p, q) with q > 0, not brought to lowest terms, for an int that is
+    not a bool or a rational string "p/q" or "p"; a malformed string or a
+    zero denominator is a ValueError, any other type a TypeError."""
+    if type(x) is int:
+        return x, 1
+    if not isinstance(x, str):
+        raise TypeError(f"expected a rational string, got {reprlib.repr(x)}")
+    m = _FRACTION_RE.fullmatch(x)
+    if not m:
         raise ValueError(f"malformed rational {reprlib.repr(x)}")
-    return Fraction(x)
+    p, q = m.groups()
+    q = int(q) if q is not None else 1
+    if not q:
+        raise ValueError(f"zero denominator in {reprlib.repr(x)}")
+    return int(p), q
 
 
 def _mat(rows: int, cols: int, num: tuple, den: int) -> "Mat":
@@ -110,6 +125,13 @@ def _lowest(rows: int, cols: int, num: tuple, den: int) -> "Mat":
     m.den = den
     m._hash = None
     return m
+
+
+def _over_lcm(rows: int, cols: int, pairs: list) -> "Mat":
+    """The rows x cols matrix of row-major (p, q) pairs, q > 0, over the lcm
+    of the q."""
+    den = lcm(*(q for _, q in pairs))
+    return _mat(rows, cols, tuple(p * (den // q) for p, q in pairs), den)
 
 
 # The most scalar multiplications (r * k * c) for which a product shape
@@ -218,10 +240,13 @@ class Mat:
         if all(type(x) is int for x in flat):
             num, den = tuple(flat), 1
         else:
-            fracs = [_frac(x) for x in flat]
-            # the lcm of lowest-terms denominators leaves the pair in lowest terms
-            den = lcm(*(x.denominator for x in fracs))
-            num = tuple(x.numerator * (den // x.denominator) for x in fracs)
+            pairs = []
+            for x in flat:
+                if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
+                    raise TypeError(f"entry {reprlib.repr(x)}: pass an int, a Fraction or a rational string")
+                pairs.append(_rational(x) if isinstance(x, str) else (x.numerator, x.denominator))
+            m = _over_lcm(len(grid), cols, pairs)
+            num, den = m.num, m.den
         self.rows = len(grid)
         self.cols = cols
         self.num = num
@@ -231,15 +256,6 @@ class Mat:
     @classmethod
     def identity(cls, n: int) -> "Mat":
         return _mat(n, n, tuple(int(i == j) for i in range(n) for j in range(n)), 1)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Mat":
-        return _mat(rows, cols, (0,) * (rows * cols), 1)
-
-    @classmethod
-    def row_vector(cls, entries: Sequence) -> "Mat":
-        entries = tuple(entries)
-        return cls((entries,), cols=len(entries))
 
     @property
     def data(self) -> tuple:
@@ -261,9 +277,6 @@ class Mat:
 
     def is_integral(self) -> bool:
         return self.den == 1
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -403,18 +416,6 @@ class Subspace:
         self.basis = basis
         self.pivots = pivots
         self._hash = None
-
-    @classmethod
-    def from_rows(cls, ambient_dim: int, rows: Iterable[Iterable]) -> "Subspace":
-        return image(Mat(rows, cols=ambient_dim))
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_rows(ambient_dim, ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return image(Mat.identity(ambient_dim))
 
     @property
     def dim(self) -> int:

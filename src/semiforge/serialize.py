@@ -3,16 +3,16 @@ weighted automata and VASS models) are read here; only matrices and
 words are written. Rationals travel as strings ("p/q" or an integer
 string, q positive) so no consumer ever rounds them.
 
-Each entry is parsed once, to an integer pair; matrices and automaton rows
-are numerators over the lcm of their denominators, with no `Fraction` made.
+Each entry is parsed once, by linalg's `_rational`, to an integer pair;
+matrices and automaton rows are built from the pairs by `_over_lcm`.
 """
 
 from __future__ import annotations
 
 import reprlib
-from math import gcd, lcm
+from math import gcd
 
-from .linalg import _FRACTION_RE, Mat, _mat
+from .linalg import Mat, _over_lcm, _rational
 from .semigroup import MorphismTable
 from .vass import AffineVass, Transition
 from .wautomata import WeightedAutomaton
@@ -42,23 +42,6 @@ def _letter(a: str, what: str) -> str:
     return a
 
 
-def _rational(s) -> tuple[int, int]:
-    """(p, q) with q > 0 for a rational string "p/q" or "p", or a JSON
-    integer; not brought to lowest terms."""
-    if type(s) is int:
-        return s, 1
-    if not isinstance(s, str):
-        raise ParseError(f"expected a rational string, got {reprlib.repr(s)}")
-    m = _FRACTION_RE.fullmatch(s)
-    if not m:
-        raise ParseError(f"malformed rational {reprlib.repr(s)}")
-    num, den = m.groups()
-    den = int(den) if den is not None else 1
-    if den == 0:
-        raise ParseError(f"zero denominator in {reprlib.repr(s)}")
-    return int(num), den
-
-
 def _entry_to_str(x: int, den: int) -> str:
     """x/den in lowest terms: "p/q", or "p" when q is 1."""
     g = gcd(x, den)
@@ -77,17 +60,11 @@ def matrix_from_json(obj, context: str = "matrix") -> Mat:
         rows = [[_rational(x) for x in _typed(row, list, "a row")]
                 for row in _typed(obj["entries"], list, "'entries'")]
         n = _typed(obj.get("n", len(rows)), int, "'n'")
-    except ParseError as exc:
+    except (TypeError, ValueError) as exc:  # a ParseError is a ValueError
         raise ParseError(f"{context}: {exc}") from exc
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ParseError(f"{context}: expected a square {n}x{n} entry grid")
     return _over_lcm(n, n, [pq for r in rows for pq in r])
-
-
-def _over_lcm(rows: int, cols: int, pairs: list) -> Mat:
-    """The rows x cols matrix of row-major (p, q) pairs, over the lcm of the q."""
-    den = lcm(*(q for _, q in pairs))
-    return _mat(rows, cols, tuple(p * (den // q) for p, q in pairs), den)
 
 
 def _matrices(named: dict, letters, n: int, noun: str) -> dict:
@@ -131,14 +108,14 @@ def automaton_from_json(obj) -> WeightedAutomaton:
     alphabet = tuple(_letter(a, "letter") for a in _names(obj["alphabet"], "'alphabet'"))
     transitions = _typed(obj["transitions"], dict, "'transitions'")
     mapping = _matrices(transitions, alphabet, n, "transition")
-    alpha = [_rational(x) for x in _typed(obj["alpha"], list, "'alpha'")]
-    eta = [_rational(x) for x in _typed(obj["eta"], list, "'eta'")]
-    if len(alpha) != n or len(eta) != n:
-        raise ParseError("alpha and eta must have n entries")
     try:
+        alpha = [_rational(x) for x in _typed(obj["alpha"], list, "'alpha'")]
+        eta = [_rational(x) for x in _typed(obj["eta"], list, "'eta'")]
+        if len(alpha) != n or len(eta) != n:
+            raise ParseError("alpha and eta must have n entries")
         return WeightedAutomaton(MorphismTable(n, alphabet, mapping),
                                  _over_lcm(1, n, alpha), _over_lcm(1, n, eta))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from exc
 
 

@@ -33,7 +33,7 @@ class WeightedAutomaton:
     eta: Mat
 
     def __post_init__(self):
-        rows = [v if isinstance(v, Mat) else Mat.row_vector(v) for v in (self.alpha, self.eta)]
+        rows = [v if isinstance(v, Mat) else Mat([v]) for v in (self.alpha, self.eta)]
         if any(v.rows != 1 or v.cols != self.table.n for v in rows):
             raise ValueError("state vectors must have one entry per state")
         self.alpha, self.eta = rows

@@ -46,7 +46,7 @@ from semiforge.exterior import AmbientMismatch
 from semiforge import semigroup
 from semiforge.grouplat import _hnf_rows
 from semiforge.imagegraph import RankDropped
-from semiforge.linalg import DimensionMismatch, _frac, _mat, image, stack
+from semiforge.linalg import DimensionMismatch, _mat, image, stack
 from semiforge.shortener import _spell
 
 
@@ -70,7 +70,7 @@ class MultiVector:
 
     @classmethod
     def from_row(cls, row: Sequence) -> "MultiVector":
-        row = tuple(_frac(x) for x in row)
+        row = tuple(Fraction(x) for x in row)
         return cls(len(row), 1, {(i,): x for i, x in enumerate(row) if x})
 
     @property

@@ -56,7 +56,7 @@ def test_criterion_1_nilpotent_family(capsys):
             gens = {f"g{i}": mat([[0, i], [0, 0]]) for i in range(m)}
             result = decide_finiteness(table_from(gens)).closure
             assert len(result) == m
-            assert Mat.zeros(2, 2) in result.witness
+            assert Mat([[0, 0], [0, 0]]) in result.witness
         assert time.monotonic() - start < 1.0
 
 
@@ -301,13 +301,13 @@ def test_criterion_6_torsion_oracle(capsys):
 
 def test_criterion_7_exterior_equivalence(capsys):
     with _report(capsys, "criterion 7: intersection test matches the rank and wedge oracles exhaustively (n=3)"):
-        from semiforge import Subspace, trivial_intersection
+        from semiforge import image, trivial_intersection
         from oracles import iota, wedge
         vectors = [v for v in itertools.product((0, 1), repeat=3) if any(v)]
         spaces = {}
         for r in range(len(vectors) + 1):
             for subset in itertools.combinations(vectors, r):
-                w = Subspace.from_rows(3, subset)
+                w = image(Mat(subset, cols=3))
                 spaces.setdefault(w.basis, w)
         spaces = list(spaces.values())
         pairs = 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from semiforge import Mat, Subspace, image, rank
+from semiforge import Mat, image, rank
 from semiforge.linalg import DimensionMismatch, LinAlgError, stack
 
 F = Fraction
@@ -50,7 +50,7 @@ def test_rejects_a_row_outside_the_space(case, data):
 
 
 def test_known_case():
-    W = Subspace.from_rows(3, [[1, 0, 2], [0, 1, 3]])
+    W = image(Mat([[1, 0, 2], [0, 1, 3]]))
     assert W.coordinates(Mat([[2, 1, 7], [0, 0, 0]])) == Mat([[2, 1], [0, 0]])
     with pytest.raises(LinAlgError):
         W.coordinates(Mat([[2, 1, 7], [0, 0, 1]]))

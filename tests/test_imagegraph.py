@@ -215,7 +215,7 @@ def differential_tables(rng):
     tables = [random_equal_rank_table(rng)[0] for _ in range(30)]
     tables += [random_equal_rank_table(rng, n=n, r=n, letters=2)[0]
                for n in (1, 2, 3) for _ in range(2)]
-    tables += [table_from({"a": Mat.zeros(n, n)}) for n in (1, 2, 3)]
+    tables += [table_from({"a": Mat([[0] * n] * n, cols=n)}) for n in (1, 2, 3)]
     for table in list(tables):
         C = random_invertible(rng, table.n, max_num=2, max_den=3)
         Ci = inverse(C)

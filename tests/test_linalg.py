@@ -9,11 +9,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from semiforge import (AffineVass, Configuration, Mat, Shortener, Subspace, Transition,
+from semiforge import (AffineVass, Configuration, Mat, Shortener, Transition,
                        decide_finiteness, det, image, inverse, kernel, minimal_polynomial,
                        rank, reach_bounded, rref, DimensionMismatch, NotInvertible)
 from semiforge import linalg, semigroup
 from semiforge.linalg import _UNROLL_BUDGET, LinAlgError, _product, _reduced, stack
+from semiforge.serialize import ParseError, automaton_from_json, generators_from_json
 from conftest import ROT90, mat, random_rational, signed_perm_generators, table_from
 from oracles import oracle_minimal_polynomial
 
@@ -110,41 +111,41 @@ class TestRref:
 
 class TestSubspace:
     def test_canonical_equality(self):
-        a = Subspace.from_rows(3, [[1, 1, 0], [0, 0, 1]])
-        b = Subspace.from_rows(3, [[2, 2, 2], [0, 0, 5], [1, 1, 1]])
+        a = image(Mat([[1, 1, 0], [0, 0, 1]]))
+        b = image(Mat([[2, 2, 2], [0, 0, 5], [1, 1, 1]]))
         assert a == b and hash(a) == hash(b)
         # the basis carries the ambient dimension: equal ranks in different spaces differ
-        assert Subspace.zero(2) != Subspace.zero(3)
-        assert Subspace.full(2) != Subspace.from_rows(3, [[1, 0, 0], [0, 1, 0]])
-        c = Subspace.from_rows(3, [[0, 0, 3], [F(1, 2), F(1, 2), 0]])
+        assert image(Mat([], cols=2)) != image(Mat([], cols=3))
+        assert image(Mat.identity(2)) != image(Mat([[1, 0, 0], [0, 1, 0]]))
+        c = image(Mat([[0, 0, 3], [F(1, 2), F(1, 2), 0]]))
         assert c == a and hash(c) == hash(a)
 
     def test_contains(self):
-        w = Subspace.from_rows(3, [[1, 0, 1]])
-        assert w.coordinates(Mat.row_vector([2, 0, 2])) == Mat.row_vector([2])
+        w = image(Mat([[1, 0, 1]]))
+        assert w.coordinates(Mat([[2, 0, 2]])) == Mat([[2]])
         with pytest.raises(LinAlgError):
-            w.coordinates(Mat.row_vector([1, 0, 0]))
+            w.coordinates(Mat([[1, 0, 0]]))
 
     def test_coords_roundtrip(self):
-        w = Subspace.from_rows(3, [[1, 0, 2], [0, 1, 3]])
-        assert w.coordinates(Mat.row_vector([2, 1, 7])) == Mat.row_vector([2, 1])
+        w = image(Mat([[1, 0, 2], [0, 1, 3]]))
+        assert w.coordinates(Mat([[2, 1, 7]])) == Mat([[2, 1]])
         with pytest.raises(LinAlgError):
-            w.coordinates(Mat.row_vector([0, 0, 1]))
+            w.coordinates(Mat([[0, 0, 1]]))
 
     def test_zero_and_full(self):
-        assert Subspace.zero(3).dim == 0
-        assert Subspace.full(3).dim == 3
+        assert image(Mat([], cols=3)).dim == 0
+        assert image(Mat.identity(3)).dim == 3
 
     def test_kernel_of_empty_shapes(self):
         # no rows: the kernel of Q^0; no columns: every x*A is the empty row
-        assert kernel(Mat([], cols=3)) == Subspace.zero(0)
-        assert kernel(Mat([(), ()], cols=0)) == Subspace.full(2)
+        assert kernel(Mat([], cols=3)) == image(Mat([], cols=0))
+        assert kernel(Mat([(), ()], cols=0)) == image(Mat.identity(2))
 
     @given(matrices())
     def test_kernel_annihilates(self, m):
         k = kernel(m)
         for row in k.basis.data:
-            assert (Mat.row_vector(row) * m).is_zero()
+            assert not any((Mat([row]) * m).num)
 
 
 class TestInverseDet:
@@ -190,12 +191,12 @@ class TestMinimalPolynomial:
     def test_annihilates_and_is_monic(self, m):
         mu = minimal_polynomial(m)
         assert mu[-1] == 1
-        total = Mat.zeros(m.rows, m.rows)
+        total = Mat([[0] * m.rows] * m.rows, cols=m.rows)
         power = Mat.identity(m.rows)
         for c in mu:
             total = total + c * power
             power = power * m
-        assert total.is_zero()
+        assert not any(total.num)
 
     # the characteristic polynomial also annihilates and is monic; only the
     # former hand-written reduction pins minimality
@@ -571,7 +572,7 @@ class TestEntries:
             for other in (1, "x", F(1, 2)):
                 with pytest.raises(TypeError, match=f"for {symbol}: 'Mat'"):
                     op(m, other)
-        assert m + m == 2 * m and m - m == Mat.zeros(2, 2)
+        assert m + m == 2 * m and m - m == Mat([[0, 0], [0, 0]])
 
     def test_ints_fractions_and_rational_strings(self):
         m = Mat([[1, F(1, 2), "-2/3"]])
@@ -579,11 +580,38 @@ class TestEntries:
         assert (m.den, m.num) == (6, (6, 3, -4))
 
     def test_strings_follow_the_file_grammar(self):
-        # the readers' grammar: ASCII digits, an optional '-' and '/q', nothing around
+        # the readers' grammar: ASCII digits, an optional '-' and '/q', nothing
+        # around, a nonzero q; each case goes through Mat and both file readers
+        def generator(s):
+            return generators_from_json({"n": 1, "generators": {"a": {"entries": [[s]]}}})
+
+        def automaton(s):
+            return automaton_from_json({"n": 1, "alphabet": ["a"], "eta": ["1"], "alpha": [s],
+                                        "transitions": {"a": {"entries": [["1"]]}}})
         assert Mat([["-0", "6/4", "007", "-4/6"]]) == Mat([[0, F(3, 2), 7, F(-2, 3)]])
-        for bad in (" 1", "1 ", "1.5", "1e3", "1_000", "\u0661", "+1", "1/-2", "", "1/"):
-            with pytest.raises(ValueError, match="malformed rational"):
-                Mat([[1, bad]])
+        for good in ("-0", "6/4", "007", "-4/6", "12/1", "0/5"):
+            m = Mat([[good]])
+            assert generator(good).mapping["a"] == m == automaton(good).alpha
+        bad = {s: "malformed rational" for s in (" 1", "1 ", "1.5", "1e3", "1_000", "\u0661",
+                                                  "+1", "1/-2", "", "1/")}
+        bad.update({s: "zero denominator in" for s in ("1/0", "-3/0", "0/0")})
+        for s, message in bad.items():
+            text = f"{message} {s!r}"
+            with pytest.raises(ValueError) as raised:
+                Mat([[1, s]])
+            assert type(raised.value) is ValueError and str(raised.value) == text
+            for read in (generator, automaton):
+                with pytest.raises(ParseError) as raised:
+                    read(s)
+                assert str(raised.value).endswith(text)
+        # a JSON value that is neither an integer nor a string
+        for x in (1.5, True, None):
+            with pytest.raises(TypeError, match="pass an int, a Fraction or a rational string"):
+                Mat([[1, x]])
+            for read in (generator, automaton):
+                with pytest.raises(ParseError) as raised:
+                    read(x)
+                assert str(raised.value).endswith(f"expected a rational string, got {x!r}")
 
     def test_bools_are_neither_entries_nor_scalars(self):
         m = Mat([[1, 2], [3, 4]])

@@ -143,7 +143,7 @@ class TestEvaluate:
 
     def test_a_start_of_the_wrong_width_is_refused(self):
         table = table_from([ROT90])
-        for start in (Mat.row_vector([1, 2, 3]), Mat.identity(3), Mat.zeros(2, 1)):
+        for start in (Mat([[1, 2, 3]]), Mat.identity(3), Mat([[0], [0]])):
             for word in ((), "a", "aaa"):
                 with pytest.raises(DimensionMismatch):
                     table.evaluate(word, start)
@@ -241,7 +241,7 @@ class TestTorsion:
     def test_nilpotents_and_projections_are_torsion(self):
         assert is_torsion(SHIFT_NILP)
         assert is_torsion(PROJ_X)
-        assert is_torsion(Mat.zeros(2, 2))
+        assert is_torsion(Mat([[0, 0], [0, 0]]))
 
     def test_stretches_are_not_torsion(self):
         assert not is_torsion(mat([[2]]))
@@ -428,7 +428,7 @@ class TestTorsionCertificate:
         rng = random.Random(n)
         cases = [tuple(rng.randint(-10 ** d, 10 ** d) for _ in range(n * n))
                  for d in (0, 1, 30) for _ in range(30)]
-        cases += [Mat.identity(n).num, Mat.zeros(n, n).num]
+        cases += [Mat.identity(n).num, Mat([[0] * n] * n, cols=n).num]
         compiled = [_charpoly(num, n) for num in cases]
         monkeypatch.setattr(semigroup, "_UNROLL_BUDGET", 0)
         assert compiled == [_charpoly(num, n) for num in cases]
@@ -629,7 +629,7 @@ def test_bfs_matches_the_eager_oracle_with_special_letters(monoid):
         mats = [Mat([row() for _ in range(n)]) for _ in range(rng.randint(1, 3))]
         special = rng.choice(("repeated", "identity", "zero"))
         extra = {"repeated": rng.choice(mats), "identity": Mat.identity(n),
-                 "zero": Mat.zeros(n, n)}[special]
+                 "zero": Mat([[0] * n] * n, cols=n)}[special]
         mats.insert(rng.randint(0, len(mats)), extra)
         cap = DEFAULT_CAP if rng.random() < 0.25 else rng.randint(1, rng.choice((12, 60)))
         identity = Mat.identity(n) if monoid else None
@@ -781,4 +781,4 @@ def test_m_family_closures():
         gens = [mat([[0, i], [0, 0]]) for i in range(m)]
         result = decide_finiteness(table_from(gens)).closure
         assert len(result) == m
-        assert Mat.zeros(2, 2) in result.witness
+        assert Mat([[0, 0], [0, 0]]) in result.witness

@@ -161,8 +161,8 @@ class TestReadersAgainstFractions:
                                      "transitions": {a: {"entries": g} for a, g in grids.items()},
                                      "alpha": alpha, "eta": eta})
             assert A.table.mapping == {a: oracle_matrix(g, n) for a, g in grids.items()}
-            assert A.alpha == Mat.row_vector(map(Fraction, alpha))
-            assert A.eta == Mat.row_vector(map(Fraction, eta))
+            assert A.alpha == Mat([map(Fraction, alpha)])
+            assert A.eta == Mat([map(Fraction, eta)])
 
 
 class TestVassJson:

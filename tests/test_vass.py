@@ -147,7 +147,7 @@ def random_vass(rng, d=None):
     for _ in range(rng.randint(0, 5)):
         kind = rng.choice(("zero", "identity", "random", "random"))
         if kind == "zero":
-            A = Mat.zeros(d, d)
+            A = Mat([[0] * d] * d, cols=d)
         elif kind == "identity":
             A = Mat.identity(d)
         else:

@@ -43,10 +43,10 @@ class TestEvaluate:
             with pytest.raises(ValueError, match="one entry per state"):
                 automaton({"a": Mat.identity(2)}, alpha, eta)
         # a 1 x n Mat is kept as given; a tuple of the same entries gives an equal automaton
-        row = Mat.row_vector((F(1, 2), 3))
+        row = Mat([(F(1, 2), 3)])
         A = automaton({"a": Mat.identity(2)}, row, (0, 1))
         assert A.alpha is row and A == automaton({"a": Mat.identity(2)}, (F(1, 2), 3), (0, 1))
-        for bad in (row.transpose(), Mat.identity(2), Mat.row_vector((1, 0, 0))):
+        for bad in (row.transpose(), Mat.identity(2), Mat([(1, 0, 0)])):
             for alpha, eta in ((bad, row), (row, bad)):
                 with pytest.raises(ValueError, match="one entry per state"):
                     automaton({"a": Mat.identity(2)}, alpha, eta)
@@ -55,7 +55,7 @@ class TestEvaluate:
         # the reader gives rows in lowest terms, and 1 x 0 rows at n = 0
         read = automaton_from_json({"n": 1, "alphabet": ["a"], "alpha": ["2/4"], "eta": [1],
                                     "transitions": {"a": {"entries": [["1"]]}}})
-        assert read.alpha == Mat.row_vector((F(1, 2),)) and read.alpha.den == 2
+        assert read.alpha == Mat([(F(1, 2),)]) and read.alpha.den == 2
         empty = automaton_from_json({"n": 0, "alphabet": ["a"], "alpha": [], "eta": [],
                                      "transitions": {"a": {"entries": []}}})
         assert {(v.rows, v.cols) for v in (empty.alpha, empty.eta)} == {(1, 0)}
@@ -226,7 +226,7 @@ def workload_shaped(rng, n):
     C = random_invertible(rng, n, 2, 3)
     Cinv = inverse(C)
     return automaton({a: Cinv * m * C for a, m in mats.items()},
-                     Mat.row_vector(alpha) * C, Mat.row_vector(eta) * Cinv.transpose()), r
+                     Mat([alpha]) * C, Mat([eta]) * Cinv.transpose()), r
 
 
 @pytest.mark.parametrize("n", range(1, 13))
