@@ -25,7 +25,7 @@ from .semigroup import (DEFAULT_CAP, CapExceeded, FinitenessResult, InfiniteSemi
 from .serialize import (ParseError, automaton_from_json, generators_from_json,
                         matrix_to_json, parse_word, vass_from_json, word_to_str)
 from .shortener import shorten
-from .vass import Configuration, check_fmp, reach_bounded, transition_matrices
+from .vass import Configuration, reach_bounded, transition_matrices
 from .wautomata import decide_wa_finiteness
 
 
@@ -196,7 +196,8 @@ def cmd_wa_finite(args, A) -> tuple[int, dict]:
 
 
 def cmd_vass_fmp(args, V) -> tuple[int, dict]:
-    return _verdict(check_fmp(V, args.cap), args.cap, transition_matrices(V).alphabet)
+    table = transition_matrices(V)
+    return _verdict(decide_finiteness(table, args.cap), args.cap, table.alphabet)
 
 
 def _parse_config(text: str, d: int) -> Configuration:

@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import math
 import reprlib
-from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Sequence
 
-from .linalg import Mat, det, rank, stack
+from .linalg import Mat, _mat, det, rank, stack
 from .semigroup import (DEFAULT_CAP, CapExceeded, ClosureResult, InfiniteSemigroup, MorphismTable,
                         _bfs)
 
@@ -93,13 +92,14 @@ def integerize(G: ClosureResult) -> Mat:
 
     The rows of C are the HNF basis of the invariant lattice: the least one
     that contains Z^n and is mapped into itself by each generator (element
-    with a one-letter witness), found as a fixpoint of B -> HNF(B, B*g, ...).
-    A generator of determinant 0 raises NonInvertibleGenerator, and one
-    other than +-1 InfiniteSemigroup. At the fixpoint the rows of C*g lie
-    in the lattice, so C*g*inverse(C) is integral of determinant det(g),
-    and g^-1 = g^(order - 1) covers the rest of G. In a finite group each
-    lattice met lies in Z^n / lcm(denominators of G); a round that leaves
-    it raises InfiniteSemigroup, so the loop ends on any `ClosureResult`.
+    with a one-letter witness), found as a fixpoint of B -> HNF(B, B*g, ...)
+    on integer rows: each stack's numerators, over its denominator. A
+    generator of determinant 0 raises NonInvertibleGenerator, and one other
+    than +-1 InfiniteSemigroup. At the fixpoint the rows of C*g lie in the
+    lattice, so C*g*inverse(C) is integral of determinant det(g), and
+    g^-1 = g^(order - 1) covers the rest of G. In a finite group each lattice
+    met lies in Z^n / lcm(denominators of G); a round that leaves it raises
+    InfiniteSemigroup, so the loop ends on any `ClosureResult`.
     """
     gens = {g: w for g, w in G.witness.items() if len(w) == 1}
     for g, w in gens.items():
@@ -109,10 +109,11 @@ def integerize(G: ClosureResult) -> Mat:
         if d != 1:
             raise InfiniteSemigroup(w)
     bound = math.lcm(*(g.den for g in G.witness))
-    C, prev = Mat.identity(G.n), None
+    n, C, prev = G.n, Mat.identity(G.n), None
     while C != prev:
         S = reduce(stack, (C * g for g in gens), C)
-        prev, C = C, Fraction(1, S.den) * hnf(S.den * S)
+        H = _hnf_rows(S.int_rows(), n)  # S holds C, of full rank: n rows
+        prev, C = C, _mat(n, n, tuple(x for r in H for x in r), S.den)
         if bound % C.den:
             raise InfiniteSemigroup()
     return C

@@ -17,7 +17,7 @@ import reprlib
 from dataclasses import dataclass
 from math import comb
 
-from .linalg import Subspace, image, rank
+from .linalg import Subspace, _rational_text, image, rank
 from .semigroup import MorphismTable, Word
 
 
@@ -164,12 +164,12 @@ def scc_segment_decompose(G: ImageGraph, word) -> list[tuple[object, Word]]:
 
 
 def to_dot(G: ImageGraph) -> str:
-    """GraphViz rendering with one cluster per SCC."""
+    """GraphViz rendering with one cluster per SCC; edge letters are escaped."""
     names = {v: f"v{i}" for i, v in enumerate(G.vertices)}
 
     def label(v: Subspace) -> str:
-        rows = [" ".join(str(x) for x in row) for row in v.basis.data]
-        return "\\n".join(rows) if rows else "0"
+        den, rows = v.basis.den, v.basis.int_rows()
+        return "\\n".join(" ".join(_rational_text(x, den) for x in r) for r in rows) or "0"
 
     lines = ["digraph image_graph {", "  rankdir=LR;"]
     by_scc: dict[int, list[Subspace]] = {}
@@ -183,6 +183,7 @@ def to_dot(G: ImageGraph) -> str:
         lines.append("  }")
     for v in G.vertices:
         for a, w in G.out[v].items():
-            lines.append(f'  {names[v]} -> {names[w]} [label="{a}"];')
+            quoted = a.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {names[v]} -> {names[w]} [label="{quoted}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

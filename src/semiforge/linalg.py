@@ -14,7 +14,8 @@ the rational result is formed once at the end.
 `_rational` (an int, or "p" or "p/q" in ASCII digits), and one constructor
 from the (p, q) pairs it returns, `_over_lcm`, so construction builds no
 `Fraction`; a zero denominator is a `ValueError` in `Mat` and a parse
-error (exit 1) in a file.
+error (exit 1) in a file. The one writer, `_rational_text`, writes that
+grammar for `repr`, JSON and DOT; no library path reads `Mat.data`.
 
 Four callers run the product kernel `_product(r, k, c)` for their
 shape: `Mat.__mul__` when both operands are integral, the VASS steps, a
@@ -91,6 +92,12 @@ def _rational(x) -> tuple[int, int]:
     if not q:
         raise ValueError(f"zero denominator in {reprlib.repr(x)}")
     return int(p), q
+
+
+def _rational_text(x: int, den: int) -> str:
+    """x/den, den > 0, in lowest terms: "p/q", or "p" when q is 1."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
 def _mat(rows: int, cols: int, num: tuple, den: int) -> "Mat":
@@ -216,8 +223,8 @@ class Mat:
     `num` holds the row-major integer numerators and `den` their common
     positive denominator, with gcd(den, *num) == 1 (so den == 1 exactly
     for integral matrices). `data` is the same matrix as rows of
-    Fractions, rebuilt on each read: it is for output and tests; nothing
-    in the package computes on it.
+    Fractions, rebuilt on each read: it is for callers and tests; no
+    library path reads it.
 
     Zero-row and zero-column matrices are allowed; pass `cols` explicitly
     when there are no rows.
@@ -294,12 +301,9 @@ class Mat:
     def __rmul__(self, other):
         # a scalar is an int or a Fraction: a string, a float or a bool is refused
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self._scaled(other)
+            p, q = other.numerator, other.denominator
+            return _mat(self.rows, self.cols, tuple(p * x for x in self.num), self.den * q)
         return NotImplemented
-
-    def _scaled(self, s: int | Fraction) -> "Mat":
-        p = s.numerator
-        return _mat(self.rows, self.cols, tuple(p * x for x in self.num), self.den * s.denominator)
 
     def __add__(self, other):
         if not isinstance(other, Mat):
@@ -325,7 +329,7 @@ class Mat:
         return self._hash
 
     def __repr__(self):
-        return f"Mat({[[str(x) for x in r] for r in self.data]})"
+        return f"Mat({[[_rational_text(x, self.den) for x in r] for r in self.int_rows()]})"
 
 
 def stack(A: Mat, B: Mat) -> Mat:

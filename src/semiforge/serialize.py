@@ -3,16 +3,15 @@ weighted automata and VASS models) are read here; only matrices and
 words are written. Rationals travel as strings ("p/q" or an integer
 string, q positive) so no consumer ever rounds them.
 
-Each entry is parsed once, by linalg's `_rational`, to an integer pair;
-matrices and automaton rows are built from the pairs by `_over_lcm`.
+Each entry is read by linalg's one reader, `_rational`, to an integer pair
+that `_over_lcm` builds on, and written by its one writer, `_rational_text`.
 """
 
 from __future__ import annotations
 
 import reprlib
-from math import gcd
 
-from .linalg import Mat, _over_lcm, _rational
+from .linalg import Mat, _over_lcm, _rational, _rational_text
 from .semigroup import MorphismTable
 from .vass import AffineVass, Transition
 from .wautomata import WeightedAutomaton
@@ -42,15 +41,9 @@ def _letter(a: str, what: str) -> str:
     return a
 
 
-def _entry_to_str(x: int, den: int) -> str:
-    """x/den in lowest terms: "p/q", or "p" when q is 1."""
-    g = gcd(x, den)
-    return str(x // g) if g == den else f"{x // g}/{den // g}"
-
-
 def matrix_to_json(A: Mat) -> dict:
     return {"n": A.rows,
-            "entries": [[_entry_to_str(x, A.den) for x in r] for r in A.int_rows()]}
+            "entries": [[_rational_text(x, A.den) for x in r] for r in A.int_rows()]}
 
 
 def matrix_from_json(obj, context: str = "matrix") -> Mat:

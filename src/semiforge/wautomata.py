@@ -3,10 +3,10 @@ restriction (the minimal-automaton construction), and the finiteness
 decision through the transition monoid of the minimized automaton.
 
 alpha and eta are 1 x n `Mat` rows. `evaluate` folds a word from alpha
-with `MorphismTable.evaluate`, the package's one numerator fold, and
-returns a `Fraction`. `forward_space` steps numerator rows with linalg's
-product kernel for 1 x n times n x n and grows an integer echelon basis
-in place; one `image` at the end gives its RREF basis.
+with `MorphismTable.evaluate`, the package's one numerator fold, and dots
+the result with eta into one `Fraction`. `forward_space` steps numerator
+rows with linalg's product kernel for 1 x n times n x n and grows an
+integer echelon basis in place; one `image` at the end gives its RREF.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .linalg import Mat, Subspace, _mat, _pivot_read, _product, image
 from .semigroup import DEFAULT_CAP, FinitenessResult, MorphismTable, decide_finiteness
@@ -52,8 +53,7 @@ def evaluate(A: WeightedAutomaton, word) -> Fraction:
         row = A.table.evaluate(word, A.alpha)
     except KeyError as unknown:
         raise UnknownLetter(*unknown.args) from None
-    value = row * A.eta.transpose()
-    return Fraction(value.num[0], value.den)
+    return Fraction(sum(map(mul, row.num, A.eta.num)), row.den * A.eta.den)
 
 
 def _admit(rows: list, v) -> bool:

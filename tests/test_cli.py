@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -230,6 +231,22 @@ class TestImageGraph:
         assert code == 0
         assert out["rank"] == 2 and out["num_sccs"] == 1
         assert dot.read_text().startswith("digraph image_graph {")
+
+    def test_dot_letters_are_escaped(self, capsys, tmp_path):
+        # a letter may hold '"' and '\\': an edge label escapes both for DOT
+        letters = ['a"b', "c\\"]
+        path = gens_file(tmp_path, dict(zip(letters, ([[0, -1], [1, 0]], [[0, 1], [1, 0]]))))
+        dot = tmp_path / "g.dot"
+        code, out = run(capsys, "image-graph", path, "--dot", str(dot))
+        assert code == 0 and {e["letter"] for e in out["edges"]} == set(letters)
+        edges = [line for line in dot.read_text().splitlines() if "->" in line]
+        assert len(edges) == len(out["edges"])
+        labels = set()
+        for line in edges:
+            m = re.fullmatch(r'  v\d+ -> v\d+ \[label="((?:[^"\\]|\\.)*)"\];', line)
+            assert m, line
+            labels.add(re.sub(r"\\(.)", r"\1", m.group(1)))
+        assert labels == set(letters)
 
 
 def test_files_are_utf8_under_an_ascii_locale(tmp_path):

@@ -9,7 +9,9 @@ The cases and the --dot file are made twice more, each time all in one
 fresh process: under PYTHONHASHSEED=0 with asserts on, and under
 PYTHONHASHSEED=12345 in `python -O`, where the library's self-check
 asserts are compiled away. No output may depend on asserts or on string
-hashing.
+hashing. They are made once more in-process with `Mat.data` and scalar
+`Mat` products refused, so every CLI path computes and writes on
+numerators.
 """
 
 import json
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import semiforge
+from semiforge import Mat
 from semiforge.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -104,4 +107,22 @@ def test_dot_file_is_byte_identical(tmp_path, capsys):
     dot = tmp_path / "image_graph.dot"
     assert main(["image-graph", str(GOLDEN / "rank2_rational.json"), "--dot", str(dot)]) == 0
     assert capsys.readouterr().out == (GOLDEN / "expected" / "image_graph.json").read_text()
+    assert dot.read_bytes() == (GOLDEN / "expected" / "image_graph.dot").read_bytes()
+
+
+def test_outputs_are_made_on_numerators(monkeypatch, tmp_path, capsys):
+    # Mat.data builds a Fraction per entry and a scalar product rescales a
+    # whole matrix: no CLI path, the --dot file included, needs either
+    dot = tmp_path / "image_graph.dot"
+    monkeypatch.setattr(Mat, "data", property(lambda self: pytest.fail("Mat.data was read")))
+    monkeypatch.setattr(Mat, "__rmul__", lambda self, s: pytest.fail("a scalar product was taken"))
+    outputs = {}
+    for case in sorted(CASES):
+        outputs[case] = [main(_argv(case)), capsys.readouterr().out]
+    outputs["dot"] = [main([*_argv("image_graph"), "--dot", str(dot)]), capsys.readouterr().out]
+    monkeypatch.undo()
+    expected = {case: [code, (GOLDEN / "expected" / f"{case}.json").read_text()]
+                for case, (code, _) in CASES.items()}
+    expected["dot"] = expected["image_graph"]
+    assert outputs == expected
     assert dot.read_bytes() == (GOLDEN / "expected" / "image_graph.dot").read_bytes()

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import operator
@@ -65,6 +66,14 @@ class TestMat:
         a = Mat([(), ()], cols=0)
         b = Mat([], cols=2)
         assert (a * b).data == ((F(0), F(0)), (F(0), F(0)))
+
+    def test_repr_reads_back(self):
+        # a matrix with no rows is left out: reading it back needs `cols`
+        for m in (mat([[1, 2], [3, 4]]), mat([[F(1, 2), F(-2, 3)], [0, 5]]),
+                  mat([[-7, F(-1, 6)]]), mat([[0, 0], [0, 0]]), Mat([()], cols=0)):
+            assert repr(m).startswith("Mat([") and repr(m).endswith("])")
+            assert Mat(ast.literal_eval(repr(m)[4:-1])) == m
+        assert repr(mat([[F(1, 2), -1], [0, F(6, 4)]])) == "Mat([['1/2', '-1'], ['0', '3/2']])"
 
     def test_key_distinguishes(self):
         seen = {}
